@@ -281,17 +281,21 @@ def run_gibbs_normal(args) -> int:
 
 def _read_single_column(path: str) -> np.ndarray:
     values = []
+    isfinite = math.isfinite
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             token = raw.strip().split(",")[0]
             if token == "":
                 continue
             try:
-                values.append(float(token))
+                value = float(token)
             except ValueError:
                 if lineno == 1:  # header row
                     continue
                 raise ValueError(f"{path}:{lineno}: cannot parse {token!r} as a number")
+            if not isfinite(value):
+                raise ValueError(f"{path}:{lineno}: non-finite value {token!r}")
+            values.append(value)
     return np.asarray(values, dtype=float)
 
 
@@ -501,6 +505,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _probabilities(text: str) -> tuple:
     try:
         probs = tuple(float(tok) for tok in text.split(",") if tok.strip() != "")
@@ -572,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bonferroni", action="store_true",
                    help="inflate the level so the quantile intervals hold jointly")
     p.add_argument("--probabilities", type=_probabilities, default=(0.25, 0.75))
-    p.add_argument("--replications", type=int, default=1)
+    p.add_argument("--replications", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=1976)
     p.add_argument("--out", default="out/stop")
     p.set_defaults(func=run_stop)

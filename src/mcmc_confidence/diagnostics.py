@@ -2,10 +2,16 @@
 
 Every ``running_*`` function returns one record per prefix length
 k = 1..n, where record k depends only on the first k values and the last
-record matches the corresponding full-chain computation exactly (the
-per-prefix entries are produced by the very estimator they summarize, so
-prefix consistency is structural, not approximate). Standard errors are
-NaN for prefixes shorter than the estimators' minimum sample size.
+record matches the corresponding full-chain computation exactly. The
+standard-error sweeps group the prefixes by their sqroot batch size
+b = isqrt(k), which is constant for k in [b^2, (b+1)^2 - 1]. Each group
+computes its batch statistics once, on the group's longest prefix, and
+every prefix in it applies the estimators' own dispersion formula to the
+leading rows of those statistics: the first k // b block means, or the
+first k - b + 1 window means or window quantiles. Those rows are the very
+values the estimator would compute on the prefix, reduced in the same
+order, so prefix consistency is exact, not approximate. Standard errors
+are NaN for prefixes shorter than the estimators' minimum sample size.
 """
 
 from __future__ import annotations
@@ -20,10 +26,15 @@ import numpy as np
 from .mcse import (
     MIN_SAMPLES,
     Transform,
+    _apply_transform,
+    _as_values,
+    _batch_means,
+    _prefix_sums,
+    _quantile_probs,
+    _sigma2,
     _type1_index,
-    mcse_bm,
-    mcse_obm,
-    subsample_quantile_se,
+    _window_means,
+    _window_quantiles,
 )
 
 __all__ = [
@@ -64,10 +75,20 @@ class Kde2D:
 
 
 def _chain_1d(values) -> np.ndarray:
-    x = np.asarray(values, dtype=float)
-    if x.ndim != 1 or x.size == 0:
+    x = _as_values(values)
+    if x.size == 0:
         raise ValueError("expected a nonempty one-dimensional chain")
     return x
+
+
+def _sqroot_groups(n: int):
+    """(b, first k, last k) for the prefixes MIN_SAMPLES..n sharing b = isqrt(k)."""
+    k = MIN_SAMPLES
+    while k <= n:
+        b = math.isqrt(k)
+        last = min((b + 1) ** 2 - 1, n)
+        yield b, k, last
+        k = last + 1
 
 
 def running_mean(values) -> np.ndarray:
@@ -100,19 +121,22 @@ def running_quantiles(values, probabilities: Sequence[float]) -> np.ndarray:
 def running_mcse(values, method: str = "BM", g: Transform = None) -> np.ndarray:
     """Standard error of the prefix mean for every prefix (sqroot batches).
 
-    Entries below the estimators' minimum sample size are NaN.
+    Entries below the estimators' minimum sample size are NaN. ``g`` must be
+    elementwise, as for the estimators; it is applied once to the whole chain.
     """
     x = _chain_1d(values)
     meth = method.upper()
-    if meth == "BM":
-        est_fn = mcse_bm
-    elif meth == "OBM":
-        est_fn = mcse_obm
-    else:
+    if meth not in ("BM", "OBM"):
         raise ValueError(f"method specified invalid (meth={method})")
+    obm = meth == "OBM"
+    gx = _apply_transform(x, g)
+    cs = _prefix_sums(gx) if obm else None
     out = np.full(x.size, np.nan)
-    for k in range(MIN_SAMPLES, x.size + 1):
-        out[k - 1] = est_fn(x[:k], "sqroot", g).se
+    for b, first, last in _sqroot_groups(x.size):
+        stats = _window_means(cs, b, last) if obm else _batch_means(gx, b, last // b)
+        for k in range(first, last + 1):
+            a = k - b + 1 if obm else k // b
+            out[k - 1] = math.sqrt(_sigma2(stats[:a], b, a, k if obm else None) / k)
     return out
 
 
@@ -120,10 +144,12 @@ def running_quantile_se(values, probabilities: Sequence[float]) -> np.ndarray:
     """Subsampling quantile standard errors per prefix; shape (n, k), NaN below
     the minimum sample size."""
     x = _chain_1d(values)
-    probs = tuple(float(p) for p in probabilities)
+    probs = _quantile_probs(probabilities)
     out = np.full((x.size, len(probs)), np.nan)
-    for k in range(MIN_SAMPLES, x.size + 1):
-        out[k - 1] = subsample_quantile_se(x[:k], probs).ses
+    for b, first, last in _sqroot_groups(x.size):
+        stats = _window_quantiles(x[:last], b, probs)
+        for k in range(first, last + 1):
+            out[k - 1] = np.sqrt(_sigma2(stats[: k - b + 1], b, k - b + 1, k) / k)
     return out
 
 

@@ -11,20 +11,33 @@ built around:
 * subsampling for quantiles: the OBM recipe with the type-1 empirical
   quantile substituted for the window mean.
 
+All three share one core: a per-batch statistic (block means; window means
+from one sequential prefix sum; window quantiles) and one dispersion
+formula, ``_sigma2``. Window quantiles come from a sliding sorted window
+(the running order statistics of Haerdle & Steiger, Appl. Stat. AS 296):
+each step deletes the value that leaves (``bisect_left``) and inserts the
+one that enters (``insort``), so all n - b + 1 windows cost O(n log b)
+comparisons plus an O(b) pointer memmove per step, where selecting within
+every window afresh costs O(n b). Statistics of a prefix's windows are the
+leading rows of the whole chain's, which is what lets the ``running_*``
+sweeps in ``diagnostics`` reuse them.
+
 Every standard error is sqrt(sigma2 / n). Chains shorter than
 ``MIN_SAMPLES`` do not produce a number: estimators return ``None`` (the
 absent-value sentinel; the CLI serializes it as "NA"). Chains shorter
 than ``SMALL_SAMPLE_WARN`` are flagged via ``warning=True`` on the result.
+Chains holding NaN or +/-inf are rejected with ``ValueError``.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .distributions import t_quantile
 
@@ -52,10 +65,6 @@ SMALL_SAMPLE_WARN = 1000
 BatchPolicy = Union[str, int, float]
 
 Transform = Optional[Callable[[np.ndarray], np.ndarray]]
-
-# cap on elements per window block when sorting sliding windows
-_WINDOW_BLOCK_ELEMS = 4_000_000
-
 
 @dataclass(frozen=True)
 class McseEstimate:
@@ -129,6 +138,10 @@ def _as_values(values) -> np.ndarray:
     x = np.asarray(values, dtype=float)
     if x.ndim != 1:
         raise ValueError(f"expected a one-dimensional chain, got shape {x.shape}")
+    finite = np.isfinite(x)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"chain holds a non-finite value ({x[i]}) at index {i}")
     return x
 
 
@@ -141,6 +154,36 @@ def _apply_transform(x: np.ndarray, g: Transform) -> np.ndarray:
     return gx
 
 
+def _sigma2(stats: np.ndarray, b: int, a: int, n: Optional[int] = None):
+    """Long-run variance from the a per-batch statistics laid out along axis 0.
+
+    With S the sum of squared deviations from their mean: b * S / (a - 1)
+    for BM blocks (``n`` None), n * b * S / ((a - 1) * a) for OBM and
+    subsampling windows. Slicing the leading rows of a C-contiguous array
+    keeps numpy's reduction order, so a prefix's value is reproduced exactly.
+    """
+    ss = np.sum((stats - stats.mean(axis=0)) ** 2, axis=0)
+    return b * ss / (a - 1) if n is None else n * b * ss / ((a - 1) * a)
+
+
+def _mean_estimate(sigma2, b: int, a: int, n: int, method: str) -> McseEstimate:
+    sigma2 = float(sigma2)
+    return McseEstimate(
+        se=math.sqrt(sigma2 / n),
+        sigma2_hat=sigma2,
+        b=b,
+        a=a,
+        n=n,
+        method=method,
+        warning=n < SMALL_SAMPLE_WARN,
+    )
+
+
+def _batch_means(gx: np.ndarray, b: int, a: int) -> np.ndarray:
+    # means of the first a non-overlapping length-b blocks
+    return gx[: a * b].reshape(a, b).mean(axis=1)
+
+
 def mcse_bm(values, policy: BatchPolicy = "sqroot", g: Transform = None) -> Optional[McseEstimate]:
     """Batch-means standard error of mean(g(x)); None when n < MIN_SAMPLES."""
     x = _as_values(values)
@@ -151,24 +194,18 @@ def mcse_bm(values, policy: BatchPolicy = "sqroot", g: Transform = None) -> Opti
     if a < 2:
         raise ValueError(f"batch size {b} leaves fewer than two batches for n={n}")
     gx = _apply_transform(x, g)
-    batch_means = gx[: a * b].reshape(a, b).mean(axis=1)
-    muhat = batch_means.mean()
-    sigma2 = b * float(np.sum((batch_means - muhat) ** 2)) / (a - 1)
-    return McseEstimate(
-        se=math.sqrt(sigma2 / n),
-        sigma2_hat=sigma2,
-        b=b,
-        a=a,
-        n=n,
-        method="BM",
-        warning=n < SMALL_SAMPLE_WARN,
-    )
+    return _mean_estimate(_sigma2(_batch_means(gx, b, a), b, a), b, a, n, "BM")
 
 
-def _window_means(gx: np.ndarray, b: int) -> np.ndarray:
-    # means of all n-b+1 sliding windows via prefix sums: O(n) time and memory
-    cs = np.concatenate(([0.0], np.cumsum(gx)))
-    return (cs[b:] - cs[:-b]) / b
+def _prefix_sums(gx: np.ndarray) -> np.ndarray:
+    # cs[k] = gx[0] + ... + gx[k-1]; cumsum adds sequentially, so the sums of
+    # a prefix are a prefix of the sums
+    return np.concatenate(([0.0], np.cumsum(gx)))
+
+
+def _window_means(cs: np.ndarray, b: int, n: int) -> np.ndarray:
+    # means of the n-b+1 length-b windows of the first n values: O(n)
+    return (cs[b : n + 1] - cs[: n + 1 - b]) / b
 
 
 def mcse_obm(values, policy: BatchPolicy = "sqroot", g: Transform = None) -> Optional[McseEstimate]:
@@ -182,18 +219,8 @@ def mcse_obm(values, policy: BatchPolicy = "sqroot", g: Transform = None) -> Opt
         raise ValueError(f"batch size {b} must be smaller than the chain length {n}")
     a = n - b + 1
     gx = _apply_transform(x, g)
-    window_means = _window_means(gx, b)
-    muhat = window_means.mean()
-    sigma2 = n * b * float(np.sum((window_means - muhat) ** 2)) / ((a - 1) * a)
-    return McseEstimate(
-        se=math.sqrt(sigma2 / n),
-        sigma2_hat=sigma2,
-        b=b,
-        a=a,
-        n=n,
-        method="OBM",
-        warning=n < SMALL_SAMPLE_WARN,
-    )
+    window_means = _window_means(_prefix_sums(gx), b, n)
+    return _mean_estimate(_sigma2(window_means, b, a, n), b, a, n, "OBM")
 
 
 def _type1_index(n: int, p: float) -> int:
@@ -220,19 +247,30 @@ def quantiles_type1(values, probabilities: Sequence[float]) -> np.ndarray:
     return np.array([xs[_type1_index(x.size, p) - 1] for p in probabilities])
 
 
+def _quantile_probs(probabilities: Sequence[float]) -> tuple:
+    probs = tuple(float(p) for p in probabilities)
+    if not probs:
+        raise ValueError("need at least one probability")
+    return probs
+
+
 def _window_quantiles(x: np.ndarray, b: int, probabilities) -> np.ndarray:
-    """Type-1 quantiles of every length-b sliding window; shape (n-b+1, k)."""
-    js = [_type1_index(b, p) for p in probabilities]
-    kth = sorted(set(j - 1 for j in js))
-    windows = sliding_window_view(x, b)
-    a = windows.shape[0]
-    out = np.empty((a, len(js)))
-    block = max(1, _WINDOW_BLOCK_ELEMS // b)
-    cols = [j - 1 for j in js]
-    for start in range(0, a, block):
-        part = np.partition(windows[start : start + block], kth, axis=1)
-        out[start : start + block] = part[:, cols]
-    return out
+    """Type-1 quantiles of every length-b sliding window; C-contiguous (n-b+1, k).
+
+    One sorted list holds the current window; each step drops the value that
+    leaves and inserts the one that enters. ``x`` must be finite, since a NaN
+    breaks the ordering bisection relies on.
+    """
+    pick = itemgetter(*[_type1_index(b, p) - 1 for p in probabilities])
+    vals = x.tolist()
+    window = sorted(vals[:b])
+    rows = [pick(window)]
+    append = rows.append
+    for old, new in zip(vals, vals[b:]):
+        del window[bisect_left(window, old)]
+        insort(window, new)
+        append(pick(window))
+    return np.array(rows, dtype=float).reshape(len(rows), -1)
 
 
 def subsample_quantile_se(values, probabilities: Sequence[float] = (0.25, 0.75)) -> Optional[QuantileSeSet]:
@@ -246,14 +284,10 @@ def subsample_quantile_se(values, probabilities: Sequence[float] = (0.25, 0.75))
     n = x.size
     if n < MIN_SAMPLES:
         return None
-    probs = tuple(float(p) for p in probabilities)
-    if not probs:
-        raise ValueError("need at least one probability")
+    probs = _quantile_probs(probabilities)
     b = math.isqrt(n)
     a = n - b + 1
-    window_q = _window_quantiles(x, b, probs)
-    muhat = window_q.mean(axis=0)
-    sigma2 = n * b * np.sum((window_q - muhat) ** 2, axis=0) / ((a - 1) * a)
+    sigma2 = _sigma2(_window_quantiles(x, b, probs), b, a, n)
     return QuantileSeSet(
         probabilities=probs,
         point_estimates=quantiles_type1(x, probs),

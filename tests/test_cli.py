@@ -347,3 +347,25 @@ def test_manifest_records_resolved_defaults(tmp_path):
     assert "y_bar=1.0" in text
     assert "s2=4.0" in text
     assert "rb_variant=plugin" in text
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_mcse_subcommand_rejects_non_finite_values(tmp_path, capsys, token):
+    path = tmp_path / "bad.csv"
+    rows = [str(v) for v in range(1, 41)]
+    rows[37] = token
+    path.write_text("\n".join(rows) + "\n")
+    for extra in ([], ["--probabilities", "0.5"]):
+        assert run_cli(["mcse", "--input", path] + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{path}:38: non-finite value" in captured.err
+
+
+@pytest.mark.parametrize("count", [-3, 0])
+def test_stop_replications_below_one_is_a_usage_error(tmp_path, count):
+    out = tmp_path / "s"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["stop", "--replications", count, "--out", out])
+    assert exc.value.code == 1
+    assert not out.exists()
