@@ -535,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ar1", help="AR(1) chain with running estimates, errors, and ACF")
     p.add_argument("--rho", type=float, default=0.5, help="autoregression coefficient, |rho| < 1")
     p.add_argument("--tau", type=float, default=1.0, help="innovation standard deviation")
-    p.add_argument("--n", type=int, default=2000, help="chain length")
+    p.add_argument("--n", type=_positive_int, default=2000, help="chain length")
     p.add_argument("--seed", type=int, default=1976)
     p.add_argument("--probabilities", type=_probabilities, default=(0.25, 0.75),
                    help="comma-separated quantile probabilities")
@@ -544,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tda",
                        help="data-augmentation chain for the 4-df t target with moment series")
-    p.add_argument("--n", type=int, default=2000)
+    p.add_argument("--n", type=_positive_int, default=2000)
     p.add_argument("--seed", type=int, default=100)
     p.add_argument("--out", default="out/tda")
     p.set_defaults(func=run_tda)
@@ -554,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=11, help="observed sample size (>= 3)")
     p.add_argument("--y-bar", type=float, default=1.0, help="observed sample mean")
     p.add_argument("--s2", type=float, default=4.0, help="observed (biased) sample variance")
-    p.add_argument("--n", type=int, default=2000)
+    p.add_argument("--n", type=_positive_int, default=2000)
     p.add_argument("--seed", type=int, default=100)
     p.add_argument("--rb-variant", choices=("plugin", "mixture"), default="plugin",
                    help="conditional-density estimate of the mu marginal")

@@ -12,12 +12,25 @@ first k - b + 1 window means or window quantiles. Those rows are the very
 values the estimator would compute on the prefix, reduced in the same
 order, so prefix consistency is exact, not approximate. Standard errors
 are NaN for prefixes shorter than the estimators' minimum sample size.
+
+The density estimators (kde_1d, kde_2d, rb_marginal_mu) share one Gaussian
+kernel core. It computes the kernel terms on tiles of 16 grid rows by one
+summation block of samples, in place in two per-thread buffers that fit in
+a core's cache, with the same arithmetic, step for step, as the broadcast
+formula exp(-0.5 z^2) / (sd sqrt(2 pi)). Terms whose exponent lies below
+-746 are exactly +0.0 and are set without calling exp, which is several
+times slower where its result underflows. The grid rows are split into one
+contiguous range per CPU the process may run on, and each thread computes
+only its own rows over every block in order, so every density is the same
+number whatever the thread count.
 """
 
 from __future__ import annotations
 
 import bisect
+import concurrent.futures
 import math
+import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -54,8 +67,17 @@ __all__ = [
 
 _SQRT_2PI = 2.506628274631000502415765284811045
 
-# samples per evaluation block when accumulating kernel sums
+# Samples per summation block. Each grid point's sum adds the blocks' partial
+# sums in block order, so a different block size rounds differently and
+# changes the bytes of every density CSV.
 _KDE_BLOCK = 4096
+
+# grid rows per tile: a tile and its scratch twin (16 x 4096 doubles, 512 KiB
+# each) stay in one core's L2 cache
+_TILE_ROWS = 16
+
+# exp(t) is exactly +0.0 for every t below this (exp(-745.2) already is)
+_EXP_ZERO_BELOW = -746.0
 
 
 @dataclass(frozen=True)
@@ -185,9 +207,72 @@ def rb_second_moment(y_values) -> np.ndarray:
     return np.cumsum(1.0 / y) / np.arange(1, y.size + 1)
 
 
-def _gauss_pdf_grid(grid: np.ndarray, mean, sd) -> np.ndarray:
-    z = (grid - mean) / sd
-    return np.exp(-0.5 * z * z) / (sd * _SQRT_2PI)
+def _workers() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _gauss_tile(rows, mean, sd, denom, out, scratch) -> None:
+    """out[i, j] = exp(-0.5 * z * z) / denom[j] with z = (rows[i] - mean[j]) / sd[j].
+
+    The arithmetic is the broadcast formula's, step for step. Where the
+    exponent lies below _EXP_ZERO_BELOW the term is +0.0: multiplying the
+    exponent by a 0/1 mask sends exp the cheap argument -0.0, and
+    multiplying exp's 1.0 by the mask again gives 0.0, without paying exp's
+    cost on results that underflow.
+    """
+    np.subtract(rows[:, None], mean, out=out)
+    np.divide(out, sd, out=out)
+    np.multiply(out, -0.5, out=scratch)
+    np.multiply(scratch, out, out=out)
+    lo = out.min()
+    if lo < _EXP_ZERO_BELOW:
+        if lo == -math.inf:  # z * z overflowed; -inf * 0 would be NaN
+            np.maximum(out, 2 * _EXP_ZERO_BELOW, out=out)
+        np.greater_equal(out, _EXP_ZERO_BELOW, out=scratch)
+        np.multiply(out, scratch, out=out)
+        np.exp(out, out=out)
+        np.multiply(out, scratch, out=out)
+    else:
+        np.exp(out, out=out)
+    np.divide(out, denom, out=out)
+
+
+def _gauss_kernel(grid, mean, sd, matrix=None) -> np.ndarray:
+    """Normal densities K[i, j] of N(mean[j], sd[j]^2) at every grid point i.
+
+    ``mean`` and ``sd`` are per-sample arrays or scalars. Returns the row
+    sums sum_j K[i, j] or, when ``matrix`` of shape (grid.size, n) is given,
+    fills it with K and returns it. A row sum adds the C-contiguous row sums
+    of the _KDE_BLOCK blocks in block order, as one (grid, block) array per
+    block would, so it does not depend on the tile height. The grid rows are
+    split into one contiguous range per CPU; each thread writes only its own.
+    """
+    mean, sd, denom = np.broadcast_arrays(mean, sd, np.multiply(sd, _SQRT_2PI))
+    n = mean.size
+    acc = np.zeros(grid.size) if matrix is None else None
+
+    def fill_rows(lo: int, hi: int) -> None:
+        buf = np.empty((2, _TILE_ROWS * _KDE_BLOCK))
+        for r0 in range(lo, hi, _TILE_ROWS):
+            r1 = min(r0 + _TILE_ROWS, hi)
+            for c0 in range(0, n, _KDE_BLOCK):
+                c1 = min(c0 + _KDE_BLOCK, n)
+                size = (r1 - r0) * (c1 - c0)
+                scratch = buf[1, :size].reshape(r1 - r0, c1 - c0)
+                out = buf[0, :size].reshape(scratch.shape) if matrix is None else matrix[r0:r1, c0:c1]
+                _gauss_tile(grid[r0:r1], mean[c0:c1], sd[c0:c1], denom[c0:c1], out, scratch)
+                if acc is not None:
+                    acc[r0:r1] += out.sum(axis=1)
+
+    k = max(1, min(_workers(), grid.size))
+    edges = [grid.size * i // k for i in range(k + 1)]
+    with concurrent.futures.ThreadPoolExecutor(k) as pool:
+        list(pool.map(fill_rows, edges[:-1], edges[1:]))
+    return acc if matrix is None else matrix
 
 
 def rb_marginal_mu(
@@ -201,24 +286,28 @@ def rb_marginal_mu(
 
     ``plugin`` evaluates one normal density N(y_bar, mean(theta)/m);
     ``mixture`` averages N(y_bar, theta_i/m) over the chain. With a single
-    theta the two coincide.
+    theta the two coincide. The grid and y_bar must be finite and m >= 1.
     """
     theta = _chain_1d(theta_values)
     if np.any(theta <= 0.0):
         raise ValueError("theta values must be strictly positive")
+    if not 1 <= m < math.inf:
+        raise ValueError(f"sample size m must be finite and at least 1, got {m}")
+    if not math.isfinite(y_bar):
+        raise ValueError(f"y_bar must be finite, got {y_bar}")
     gx = np.asarray(grid, dtype=float)
+    if not np.all(np.isfinite(gx)):
+        raise ValueError("grid holds a non-finite value")
+    flat = gx.reshape(-1)
     if variant == "plugin":
-        dens = _gauss_pdf_grid(gx, y_bar, math.sqrt(float(np.mean(theta)) / m))
+        sd = math.sqrt(float(np.mean(theta)) / m)
+        dens = _gauss_kernel(flat, np.array([y_bar], dtype=float), sd)
     elif variant == "mixture":
-        acc = np.zeros_like(gx)
         sds = np.sqrt(theta / m)
-        for start in range(0, theta.size, _KDE_BLOCK):
-            s = sds[start : start + _KDE_BLOCK]
-            acc += _gauss_pdf_grid(gx[:, None], y_bar, s[None, :]).sum(axis=1)
-        dens = acc / theta.size
+        dens = _gauss_kernel(flat, float(y_bar), sds) / theta.size
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    return Kde1D(x=gx, density=dens, bandwidth=None)
+    return Kde1D(x=gx, density=dens.reshape(gx.shape), bandwidth=None)
 
 
 def silverman_bandwidth(values, factor: float = 0.9) -> float:
@@ -247,17 +336,8 @@ def kde_1d(samples, n_grid: int = 512) -> Kde1D:
         raise ValueError("density estimation needs at least two samples")
     h = silverman_bandwidth(x)
     grid = np.linspace(float(x.min()) - 3.0 * h, float(x.max()) + 3.0 * h, n_grid)
-    acc = np.zeros(n_grid)
-    for start in range(0, x.size, _KDE_BLOCK):
-        xs = x[start : start + _KDE_BLOCK]
-        acc += _gauss_pdf_grid(grid[:, None], xs[None, :], h).sum(axis=1)
+    acc = _gauss_kernel(grid, x, h)
     return Kde1D(x=grid, density=acc / x.size, bandwidth=h)
-
-
-def _axis_bandwidth(v: np.ndarray) -> float:
-    # normal reference rule, used directly as the kernel sd on each axis
-    h = silverman_bandwidth(v, factor=1.06)
-    return h
 
 
 def kde_2d(
@@ -268,8 +348,8 @@ def kde_2d(
 ) -> Kde2D:
     """Product-Gaussian-kernel density on an n_grid x n_grid lattice.
 
-    ``lims = (x_lo, x_hi, y_lo, y_hi)`` defaults to the data ranges;
-    density[i, j] is the estimate at (x_grid[i], y_grid[j]).
+    ``lims = (x_lo, x_hi, y_lo, y_hi)`` defaults to the data ranges and must
+    be finite; density[i, j] is the estimate at (x_grid[i], y_grid[j]).
     """
     x = _chain_1d(x_samples)
     y = _chain_1d(y_samples)
@@ -277,13 +357,17 @@ def kde_2d(
         raise ValueError(f"coordinate lengths differ: {x.size} vs {y.size}")
     if x.size < 2:
         raise ValueError("density estimation needs at least two samples")
-    bx = _axis_bandwidth(x)
-    by = _axis_bandwidth(y)
+    # normal reference rule, used directly as the kernel sd on each axis
+    bx = silverman_bandwidth(x, factor=1.06)
+    by = silverman_bandwidth(y, factor=1.06)
     if lims is None:
         lims = (float(x.min()), float(x.max()), float(y.min()), float(y.max()))
+    if not all(math.isfinite(v) for v in lims):
+        raise ValueError(f"density limits must be finite, got {tuple(lims)}")
     gx = np.linspace(lims[0], lims[1], n_grid)
     gy = np.linspace(lims[2], lims[3], n_grid)
-    kx = _gauss_pdf_grid(gx[:, None], x[None, :], bx)
-    ky = _gauss_pdf_grid(gy[:, None], y[None, :], by)
+    # the product needs both whole kernel matrices: the GEMM's rounding depends on its operands' shapes
+    kx = _gauss_kernel(gx, x, bx, np.empty((n_grid, x.size)))
+    ky = _gauss_kernel(gy, y, by, np.empty((n_grid, y.size)))
     dens = kx @ ky.T / x.size
     return Kde2D(x=gx, y=gy, density=dens, bandwidth_x=bx, bandwidth_y=by)

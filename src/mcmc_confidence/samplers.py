@@ -62,8 +62,10 @@ class NormalPosteriorParams:
     def __post_init__(self):
         if self.m < 3:
             raise ValueError(f"sample size m must be at least 3, got {self.m}")
-        if self.s2 <= 0.0:
-            raise ValueError(f"sample variance s2 must be positive, got {self.s2}")
+        if not math.isfinite(self.y_bar):
+            raise ValueError(f"sample mean y_bar must be finite, got {self.y_bar}")
+        if not 0.0 < self.s2 < math.inf:
+            raise ValueError(f"sample variance s2 must be positive and finite, got {self.s2}")
 
 
 class TdaState(NamedTuple):

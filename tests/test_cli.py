@@ -369,3 +369,22 @@ def test_stop_replications_below_one_is_a_usage_error(tmp_path, count):
         run_cli(["stop", "--replications", count, "--out", out])
     assert exc.value.code == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["ar1", "tda", "gibbs-normal"])
+@pytest.mark.parametrize("count", [-5, 0])
+def test_chain_length_below_one_is_a_usage_error(tmp_path, command, count):
+    out = tmp_path / "n"
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, "--n", count, "--out", out])
+    assert exc.value.code == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--y-bar", "--s2"])
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_gibbs_normal_rejects_non_finite_statistics(tmp_path, capsys, flag, token):
+    out = tmp_path / "g"
+    assert run_cli(["gibbs-normal", f"{flag}={token}", "--n", 50, "--out", out]) == 2
+    assert flag[2:].replace("-", "_") in capsys.readouterr().err
+    assert not out.exists()

@@ -240,6 +240,24 @@ def test_rb_marginal_validation():
         rb_marginal_mu([1.0], grid, m=11, y_bar=1.0, variant="bogus")
 
 
+@pytest.mark.parametrize("variant", ["plugin", "mixture"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_rb_marginal_rejects_non_finite_grid_and_y_bar(variant, bad):
+    grid = np.linspace(-1.0, 1.0, 11)
+    grid[4] = bad
+    with pytest.raises(ValueError, match="grid"):
+        rb_marginal_mu([1.0, 2.0], grid, m=11, y_bar=1.0, variant=variant)
+    with pytest.raises(ValueError, match="y_bar"):
+        rb_marginal_mu([1.0, 2.0], np.linspace(-1.0, 1.0, 11), m=11, y_bar=bad, variant=variant)
+
+
+@pytest.mark.parametrize("variant", ["plugin", "mixture"])
+@pytest.mark.parametrize("m", [0, -2, 0.5, math.nan, math.inf])
+def test_rb_marginal_rejects_sample_size_below_one(variant, m):
+    with pytest.raises(ValueError, match="sample size m"):
+        rb_marginal_mu([1.0, 2.0], np.linspace(-1.0, 1.0, 11), m=m, y_bar=1.0, variant=variant)
+
+
 # kernel density estimation -------------------------------------------------------
 
 
@@ -306,3 +324,12 @@ def test_kde_2d_validation():
         kde_2d(np.arange(10.0), np.arange(9.0))
     with pytest.raises(ValueError):
         kde_2d(np.full(50, 1.0), np.arange(50.0))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_kde_2d_rejects_non_finite_limits(bad):
+    for i in range(4):
+        lims = [-2.0, 2.0, -3.0, 3.0]
+        lims[i] = bad
+        with pytest.raises(ValueError, match="limits must be finite"):
+            kde_2d(np.arange(50.0), np.arange(50.0) % 7, n_grid=5, lims=tuple(lims))

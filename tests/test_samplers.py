@@ -219,6 +219,13 @@ def test_nv_params_validation():
         NormalPosteriorParams(s2=0.0)
 
 
+@pytest.mark.parametrize("name", ["y_bar", "s2"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_nv_params_reject_non_finite(name, bad):
+    with pytest.raises(ValueError, match=name):
+        NormalPosteriorParams(**{name: bad})
+
+
 def test_nv_step_forced_draw_structure():
     params = NormalPosteriorParams(m=11, y_bar=1.0, s2=4.0)
     stub = StubRng(normals=[params.y_bar], gammas=[1.0])
