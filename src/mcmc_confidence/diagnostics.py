@@ -15,22 +15,18 @@ are NaN for prefixes shorter than the estimators' minimum sample size.
 
 The density estimators (kde_1d, kde_2d, rb_marginal_mu) share one Gaussian
 kernel core. It computes the kernel terms on tiles of 16 grid rows by one
-summation block of samples, in place in two per-thread buffers that fit in
-a core's cache, with the same arithmetic, step for step, as the broadcast
-formula exp(-0.5 z^2) / (sd sqrt(2 pi)). Terms whose exponent lies below
--746 are exactly +0.0 and are set without calling exp, which is several
-times slower where its result underflows. The grid rows are split into one
-contiguous range per CPU the process may run on, and each thread computes
-only its own rows over every block in order, so every density is the same
-number whatever the thread count.
+summation block of samples, in place in two buffers that fit in a core's
+cache, with the same arithmetic, step for step, as the broadcast formula
+exp(-0.5 z^2) / (sd sqrt(2 pi)). Terms whose exponent lies below -746 are
+exactly +0.0 and are set without calling exp, which is several times slower
+where its result underflows. The core runs in the calling thread: spread
+over threads, its wall time would hang on whether another CPU is free.
 """
 
 from __future__ import annotations
 
 import bisect
-import concurrent.futures
 import math
-import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -207,14 +203,6 @@ def rb_second_moment(y_values) -> np.ndarray:
     return np.cumsum(1.0 / y) / np.arange(1, y.size + 1)
 
 
-def _workers() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def _gauss_tile(rows, mean, sd, denom, out, scratch) -> None:
     """out[i, j] = exp(-0.5 * z * z) / denom[j] with z = (rows[i] - mean[j]) / sd[j].
 
@@ -248,30 +236,22 @@ def _gauss_kernel(grid, mean, sd, matrix=None) -> np.ndarray:
     sums sum_j K[i, j] or, when ``matrix`` of shape (grid.size, n) is given,
     fills it with K and returns it. A row sum adds the C-contiguous row sums
     of the _KDE_BLOCK blocks in block order, as one (grid, block) array per
-    block would, so it does not depend on the tile height. The grid rows are
-    split into one contiguous range per CPU; each thread writes only its own.
+    block would, so it does not depend on the tile height.
     """
     mean, sd, denom = np.broadcast_arrays(mean, sd, np.multiply(sd, _SQRT_2PI))
     n = mean.size
     acc = np.zeros(grid.size) if matrix is None else None
-
-    def fill_rows(lo: int, hi: int) -> None:
-        buf = np.empty((2, _TILE_ROWS * _KDE_BLOCK))
-        for r0 in range(lo, hi, _TILE_ROWS):
-            r1 = min(r0 + _TILE_ROWS, hi)
-            for c0 in range(0, n, _KDE_BLOCK):
-                c1 = min(c0 + _KDE_BLOCK, n)
-                size = (r1 - r0) * (c1 - c0)
-                scratch = buf[1, :size].reshape(r1 - r0, c1 - c0)
-                out = buf[0, :size].reshape(scratch.shape) if matrix is None else matrix[r0:r1, c0:c1]
-                _gauss_tile(grid[r0:r1], mean[c0:c1], sd[c0:c1], denom[c0:c1], out, scratch)
-                if acc is not None:
-                    acc[r0:r1] += out.sum(axis=1)
-
-    k = max(1, min(_workers(), grid.size))
-    edges = [grid.size * i // k for i in range(k + 1)]
-    with concurrent.futures.ThreadPoolExecutor(k) as pool:
-        list(pool.map(fill_rows, edges[:-1], edges[1:]))
+    buf = np.empty((2, _TILE_ROWS * _KDE_BLOCK))
+    for r0 in range(0, grid.size, _TILE_ROWS):
+        r1 = min(r0 + _TILE_ROWS, grid.size)
+        for c0 in range(0, n, _KDE_BLOCK):
+            c1 = min(c0 + _KDE_BLOCK, n)
+            size = (r1 - r0) * (c1 - c0)
+            scratch = buf[1, :size].reshape(r1 - r0, c1 - c0)
+            out = buf[0, :size].reshape(scratch.shape) if matrix is None else matrix[r0:r1, c0:c1]
+            _gauss_tile(grid[r0:r1], mean[c0:c1], sd[c0:c1], denom[c0:c1], out, scratch)
+            if acc is not None:
+                acc[r0:r1] += out.sum(axis=1)
     return acc if matrix is None else matrix
 
 

@@ -1,15 +1,13 @@
 """Property tests for the shared Gaussian-kernel core: kde_1d, kde_2d and both
-rb_marginal_mu variants equal the plain broadcast formula bit for bit, with
-any number of threads, on chains whose far outliers make kernel terms
-underflow to zero, to subnormals, or overflow the exponent to -inf."""
+rb_marginal_mu variants equal the plain broadcast formula bit for bit, on
+chains whose far outliers make kernel terms underflow to zero, to subnormals, or overflow the exponent to -inf."""
 
 import math
-from unittest import mock
 
 import numpy as np
 from hypothesis import given, strategies as st
 
-from mcmc_confidence import Rng, diagnostics, kde_1d, kde_2d, rb_marginal_mu
+from mcmc_confidence import Rng, kde_1d, kde_2d, rb_marginal_mu
 from mcmc_confidence.diagnostics import _KDE_BLOCK, _SQRT_2PI
 
 SIZES = st.one_of(st.sampled_from([2, 3, _KDE_BLOCK - 1, _KDE_BLOCK, _KDE_BLOCK + 1]), st.integers(2, 300))
@@ -46,30 +44,19 @@ def chains(draw, far):
     return x
 
 
-def with_workers(count, fn, *args, **kwargs):
-    with mock.patch.object(diagnostics, "_workers", lambda: count):
-        return fn(*args, **kwargs)
-
-
 @given(x=chains(FAR), n_grid=st.integers(1, 40))
 def test_kde_1d_matches_broadcast_formula(x, n_grid):
-    one = with_workers(1, kde_1d, x, n_grid=n_grid)
-    four = with_workers(4, kde_1d, x, n_grid=n_grid)
-    expected = reference_sums(one.x, x, one.bandwidth) / x.size
-    assert same_bits(one.density, expected)
-    assert same_bits(four.density, expected)
+    est = kde_1d(x, n_grid=n_grid)
+    assert same_bits(est.density, reference_sums(est.x, x, est.bandwidth) / x.size)
 
 
 @given(x=chains(FAR), seed=st.integers(0, 10**6), n_grid=st.integers(1, 12))
 def test_kde_2d_matches_broadcast_formula(x, seed, n_grid):
     y = Rng(seed).normals(x.size)
-    one = with_workers(1, kde_2d, x, y, n_grid=n_grid)
-    four = with_workers(4, kde_2d, x, y, n_grid=n_grid)
-    kx = reference_pdf(one.x[:, None], x[None, :], one.bandwidth_x)
-    ky = reference_pdf(one.y[:, None], y[None, :], one.bandwidth_y)
-    expected = kx @ ky.T / x.size
-    assert same_bits(one.density, expected)
-    assert same_bits(four.density, expected)
+    est = kde_2d(x, y, n_grid=n_grid)
+    kx = reference_pdf(est.x[:, None], x[None, :], est.bandwidth_x)
+    ky = reference_pdf(est.y[:, None], y[None, :], est.bandwidth_y)
+    assert same_bits(est.density, kx @ ky.T / x.size)
 
 
 @given(
@@ -85,11 +72,8 @@ def test_rb_marginal_mu_matches_broadcast_formula(x, y_bar, span, n_grid, m):
     sd = math.sqrt(float(np.mean(theta)) / m)
     plugin = reference_pdf(grid, y_bar, sd)
     mixture = reference_sums(grid, y_bar, np.sqrt(theta / m)) / theta.size
-    for workers in (1, 4):
-        got = with_workers(workers, rb_marginal_mu, theta, grid, m, y_bar, variant="plugin")
-        assert same_bits(got.density, plugin)
-        got = with_workers(workers, rb_marginal_mu, theta, grid, m, y_bar, variant="mixture")
-        assert same_bits(got.density, mixture)
+    assert same_bits(rb_marginal_mu(theta, grid, m, y_bar, variant="plugin").density, plugin)
+    assert same_bits(rb_marginal_mu(theta, grid, m, y_bar, variant="mixture").density, mixture)
 
 
 def test_overflowing_exponent_gives_zero_terms():
