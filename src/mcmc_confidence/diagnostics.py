@@ -315,7 +315,10 @@ def kde_1d(samples, n_grid: int = 512) -> Kde1D:
     if x.size < 2:
         raise ValueError("density estimation needs at least two samples")
     h = silverman_bandwidth(x)
-    grid = np.linspace(float(x.min()) - 3.0 * h, float(x.max()) + 3.0 * h, n_grid)
+    lo, hi = float(x.min()) - 3.0 * h, float(x.max()) + 3.0 * h
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"density grid [{lo}, {hi}] overflows the float range")
+    grid = np.linspace(lo, hi, n_grid)
     acc = _gauss_kernel(grid, x, h)
     return Kde1D(x=grid, density=acc / x.size, bandwidth=h)
 

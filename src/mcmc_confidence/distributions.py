@@ -72,7 +72,7 @@ def _beta_cont_frac(a: float, b: float, x: float) -> float:
     qam = a - 1.0
     c = 1.0
     d = 1.0 - qab * x / qap
-    if abs(d) < _TINY:
+    if -_TINY < d < _TINY:
         d = _TINY
     d = 1.0 / d
     h = d
@@ -80,19 +80,19 @@ def _beta_cont_frac(a: float, b: float, x: float) -> float:
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
         d = 1.0 + aa * d
-        if abs(d) < _TINY:
+        if -_TINY < d < _TINY:
             d = _TINY
         c = 1.0 + aa / c
-        if abs(c) < _TINY:
+        if -_TINY < c < _TINY:
             c = _TINY
         d = 1.0 / d
         h *= d * c
         aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
         d = 1.0 + aa * d
-        if abs(d) < _TINY:
+        if -_TINY < d < _TINY:
             d = _TINY
         c = 1.0 + aa / c
-        if abs(c) < _TINY:
+        if -_TINY < c < _TINY:
             c = _TINY
         d = 1.0 / d
         delta = d * c
@@ -102,6 +102,12 @@ def _beta_cont_frac(a: float, b: float, x: float) -> float:
     raise ArithmeticError(
         f"incomplete beta continued fraction did not converge (a={a}, b={b}, x={x})"
     )
+
+
+@lru_cache(maxsize=64)
+def _minus_ln_beta(a: float, b: float) -> float:
+    # -ln B(a, b); one t_quantile evaluates its CDF at a single (a, b) many times
+    return ln_gamma(a + b) - ln_gamma(a) - ln_gamma(b)
 
 
 def reg_inc_beta(a: float, b: float, x: float) -> float:
@@ -114,9 +120,7 @@ def reg_inc_beta(a: float, b: float, x: float) -> float:
         return 0.0
     if x == 1.0:
         return 1.0
-    ln_front = (
-        ln_gamma(a + b) - ln_gamma(a) - ln_gamma(b) + a * math.log(x) + b * math.log1p(-x)
-    )
+    ln_front = _minus_ln_beta(a, b) + a * math.log(x) + b * math.log1p(-x)
     front = math.exp(ln_front)
     # symmetry switch keeps the continued fraction in its fast-converging region
     if x < (a + 1.0) / (a + b + 2.0):

@@ -94,7 +94,11 @@ class QuantileSeSet:
 
 @dataclass(frozen=True)
 class Interval:
-    """Two-sided t interval: center +/- half_width with the stated df."""
+    """Two-sided t interval: center +/- half_width with the stated df.
+
+    ``b`` and ``a`` are the batch size and batch (window) count of the
+    estimate behind ``se``.
+    """
 
     center: float
     se: float
@@ -104,6 +108,8 @@ class Interval:
     df: float
     level: float
     method: str
+    b: int
+    a: int
     probability: Optional[float] = None
 
 
@@ -333,6 +339,8 @@ def ci_mean(
         df=df,
         level=level,
         method=meth,
+        b=est.b,
+        a=est.a,
     )
 
 
@@ -367,6 +375,8 @@ def ci_quantiles(
                 df=df,
                 level=adj_level,
                 method="SUB",
+                b=qset.b,
+                a=qset.a,
                 probability=p,
             )
         )

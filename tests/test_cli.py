@@ -1,3 +1,4 @@
+import inspect
 import math
 import os
 
@@ -388,3 +389,48 @@ def test_gibbs_normal_rejects_non_finite_statistics(tmp_path, capsys, flag, toke
     assert run_cli(["gibbs-normal", f"{flag}={token}", "--n", 50, "--out", out]) == 2
     assert flag[2:].replace("-", "_") in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_every_csv_artifact_goes_through_write_csv(tmp_path, monkeypatch):
+    # the benchmark's write counter wraps cli.write_csv by name and reads its path argument
+    from mcmc_confidence import cli
+
+    assert next(iter(inspect.signature(cli.write_csv).parameters)) == "path"
+    written = []
+    real = cli.write_csv
+
+    def counting(path, *args, **kwargs):
+        written.append(os.path.abspath(path))
+        return real(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "write_csv", counting)
+    runs = [
+        ["ar1", "--n", 60],
+        ["tda", "--n", 60],
+        ["gibbs-normal", "--n", 60],
+        ["stop", "--replications", 2, "--max-n", 4000],
+    ]
+    for k, argv in enumerate(runs):
+        out = tmp_path / str(k)
+        assert run_cli(argv + ["--out", out]) == 0
+        files = {os.path.abspath(out / name) for name in os.listdir(out) if name != "manifest.txt"}
+        assert files and files == set(written)
+        written.clear()
+
+
+@pytest.mark.parametrize("extra", [[], ["--method", "obm"], ["--probabilities", "0.25,0.75"]])
+def test_mcse_subcommand_computes_each_estimator_once(fixture_16, capsys, monkeypatch, extra):
+    from mcmc_confidence import cli, mcse
+
+    calls = []
+    for name in ("mcse_bm", "mcse_obm", "subsample_quantile_se"):
+        real = getattr(mcse, name)
+
+        def counting(*args, _real=real, **kwargs):
+            calls.append(_real.__name__)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(mcse, name, counting)
+        monkeypatch.setattr(cli, name, counting, raising=False)
+    assert run_cli(["mcse", "--input", fixture_16, "--batch", 4] + extra) == 0
+    assert len(calls) == 1

@@ -298,6 +298,14 @@ def test_kde_1d_rejects_degenerate_input():
         kde_1d(np.array([1.0]))
 
 
+@pytest.mark.parametrize("n_grid", [1, 5, 512])
+def test_kde_1d_rejects_a_grid_that_overflows(n_grid):
+    # min - 3h and max + 3h are finite, but the span between them is not
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="overflows"):
+            kde_1d([-1e308, 0.0, 1.0, 2.0, 1e308], n_grid=n_grid)
+
+
 def test_kde_2d_independent_normals():
     rng = Rng(16)
     x = rng.normals(10**5)
