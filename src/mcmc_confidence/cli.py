@@ -1,8 +1,10 @@
 """Command-line front end: every experiment becomes deterministic CSV output.
 
 Each run writes its artifacts plus a ``manifest.txt`` holding the fully
-resolved flag set; replaying the manifest (``argv_from_manifest``)
-reproduces every CSV byte for byte. Numbers are serialized with 10
+resolved flag set, derived from the parsed namespace (``write_manifest``);
+replaying the manifest (``argv_from_manifest``) reproduces every CSV byte
+for byte. The parser validates what it can (counts, seeds, probabilities)
+before any file is written. Numbers are serialized with 10
 significant digits, missing values as the literal token "NA", lines end
 with LF.
 
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import math
 import os
 import sys
@@ -115,13 +118,19 @@ def _manifest_value(v) -> str:
     return str(v)
 
 
-def write_manifest(out_dir: str, command: str, options: dict) -> str:
-    path = os.path.join(out_dir, "manifest.txt")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"command={command}\n")
-        for key, value in options.items():
-            fh.write(f"{key}={_manifest_value(value)}\n")
-    return path
+def write_manifest(args) -> None:
+    """Create ``args.out`` and record the run's flags in its ``manifest.txt``.
+
+    ``command=`` comes first, then every option of the namespace that has a
+    value, in the parser's declaration order (argparse sets the defaults in
+    that order before it parses).
+    """
+    os.makedirs(args.out, exist_ok=True)
+    with open(os.path.join(args.out, "manifest.txt"), "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"command={args.command}\n")
+        for key, value in vars(args).items():
+            if key not in ("command", "func") and value is not None:
+                fh.write(f"{key}={_manifest_value(value)}\n")
 
 
 def read_manifest(path: str) -> tuple[str, dict]:
@@ -159,30 +168,14 @@ def argv_from_manifest(path: str, out: Optional[str] = None) -> list[str]:
     return argv
 
 
-def _ensure_out(path: str) -> str:
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
 # subcommands ----------------------------------------------------------------
 
 
 def run_ar1(args) -> int:
     params = Ar1Params(args.rho, args.tau)
     probs = args.probabilities
-    out = _ensure_out(args.out)
-    write_manifest(
-        out,
-        "ar1",
-        {
-            "rho": args.rho,
-            "tau": args.tau,
-            "n": args.n,
-            "seed": args.seed,
-            "probabilities": probs,
-            "out": args.out,
-        },
-    )
+    out = args.out
+    write_manifest(args)
     chain = ar1_run(args.n, params, Rng(args.seed))
     x = chain.values
     n = x.size
@@ -223,8 +216,8 @@ def run_ar1(args) -> int:
 
 
 def run_tda(args) -> int:
-    out = _ensure_out(args.out)
-    write_manifest(out, "tda", {"n": args.n, "seed": args.seed, "out": args.out})
+    out = args.out
+    write_manifest(args)
     chain = tda_run(args.n, Rng(args.seed))
     x = chain.values[:, 0]
     y = chain.values[:, 1]
@@ -249,20 +242,8 @@ def run_tda(args) -> int:
 
 def run_gibbs_normal(args) -> int:
     params = NormalPosteriorParams(args.m, args.y_bar, args.s2)
-    out = _ensure_out(args.out)
-    write_manifest(
-        out,
-        "gibbs-normal",
-        {
-            "m": args.m,
-            "y_bar": args.y_bar,
-            "s2": args.s2,
-            "n": args.n,
-            "seed": args.seed,
-            "rb_variant": args.rb_variant,
-            "out": args.out,
-        },
-    )
+    out = args.out
+    write_manifest(args)
     chain = nv_gibbs_run(args.n, params, Rng(args.seed))
     mu = chain.values[:, 0]
     theta = chain.values[:, 1]
@@ -395,119 +376,63 @@ def run_mcse(args) -> int:
     report = "\n".join(lines) + "\n"
     sys.stdout.write(report)
     if args.out is not None:
-        out = _ensure_out(args.out)
-        options = {
-            "input": args.input,
-            "method": args.method,
-            "batch": args.batch,
-            "transform": args.transform,
-        }
-        if args.probabilities is not None:
-            options["probabilities"] = args.probabilities
-        options["out"] = args.out
-        write_manifest(out, "mcse", options)
-        with open(os.path.join(out, "report.txt"), "w", encoding="utf-8", newline="\n") as fh:
+        write_manifest(args)
+        with open(os.path.join(args.out, "report.txt"), "w", encoding="utf-8", newline="\n") as fh:
             fh.write(report)
     return EXIT_OK
 
 
-def _stop_replicate(payload: tuple):
-    (index, seed, target, rho, tau, epsilon, level, step, pilot_n, max_n, bonferroni, probs) = payload
-    source = Ar1Source(Ar1Params(rho, tau))
-    config = StoppingConfig(epsilon=epsilon, level=level, step=step, pilot_n=pilot_n, max_n=max_n)
-    rng = Rng(seed)
-    if target == "mean":
+def _stop_replicate(args, config: StoppingConfig, index: int) -> list[tuple]:
+    """Rows ``(replicate, probability, terminal_n, half, estimate, converged, covered)``
+    of replicate ``index``, one per target; the probability is None for the mean."""
+    source = Ar1Source(Ar1Params(args.rho, args.tau))
+    rng = Rng(args.seed).spawn(index)
+    if args.target == "mean":
         res = fixed_width_mean(source, config, rng)
-        covered = bool(abs(res.estimates[0] - source.truth_mean()) <= res.half_widths[0])
-        rows = [
-            (index, res.terminal_n, res.half_width, float(res.estimates[0]), res.converged, covered)
-        ]
-        all_covered = covered
+        truths = [(None, source.truth_mean())]
     else:
-        res = fixed_width_quantiles(source, probs, config, rng, bonferroni)
-        rows = []
-        flags = []
-        for p, est, h in zip(probs, res.estimates, res.half_widths):
-            truth = source.truth_quantile(p)
-            c = bool(abs(float(est) - truth) <= float(h))
-            flags.append(c)
-            rows.append((index, p, res.terminal_n, float(h), float(est), res.converged, c))
-        all_covered = all(flags)
-    return rows, res.terminal_n, res.converged, all_covered
+        res = fixed_width_quantiles(source, args.probabilities, config, rng, args.bonferroni)
+        truths = [(p, source.truth_quantile(p)) for p in args.probabilities]
+    return [
+        (index, p, res.terminal_n, h, est, res.converged, bool(abs(est - truth) <= h))
+        for (p, truth), est, h in zip(truths, res.estimates, res.half_widths)
+    ]
 
 
 def run_stop(args) -> int:
-    step = args.step if args.step is not None else (1000 if args.target == "mean" else 2000)
+    if args.step is None:
+        args.step = 1000 if args.target == "mean" else 2000
     # validate up front so a bad config fails before any replicate runs
-    StoppingConfig(epsilon=args.epsilon, level=args.level, step=step, pilot_n=args.pilot, max_n=args.max_n)
+    config = StoppingConfig(epsilon=args.epsilon, level=args.level, step=args.step, pilot_n=args.pilot,
+                            max_n=args.max_n)
     Ar1Params(args.rho, args.tau)
-    out = _ensure_out(args.out)
-    write_manifest(
-        out,
-        "stop",
-        {
-            "target": args.target,
-            "rho": args.rho,
-            "tau": args.tau,
-            "epsilon": args.epsilon,
-            "level": args.level,
-            "step": step,
-            "pilot": args.pilot,
-            "max_n": args.max_n,
-            "bonferroni": args.bonferroni,
-            "probabilities": args.probabilities,
-            "replications": args.replications,
-            "seed": args.seed,
-            "out": args.out,
-        },
-    )
+    write_manifest(args)
 
     reps = args.replications
-    payloads = [
-        (
-            i,
-            (args.seed + i) % 2**64,
-            args.target,
-            args.rho,
-            args.tau,
-            args.epsilon,
-            args.level,
-            step,
-            args.pilot,
-            args.max_n,
-            args.bonferroni,
-            args.probabilities,
-        )
-        for i in range(reps)
-    ]
-
+    replicate = functools.partial(_stop_replicate, args, config)
     results = None
     if reps >= _POOL_MIN_REPLICATIONS and (os.cpu_count() or 1) > 1:
         try:
             with concurrent.futures.ProcessPoolExecutor() as pool:
-                results = list(pool.map(_stop_replicate, payloads, chunksize=4))
+                results = list(pool.map(replicate, range(reps), chunksize=4))
         except (OSError, concurrent.futures.process.BrokenProcessPool):
             results = None
     if results is None:
-        results = [_stop_replicate(p) for p in payloads]
+        results = [replicate(i) for i in range(reps)]
 
+    header = ["replicate", "probability", "terminal_n", "half", "estimate", "converged", "covered"]
+    columns = list(zip(*(row for rows in results for row in rows)))
     if args.target == "mean":
-        header = ["replicate", "terminal_n", "half", "estimate", "converged", "covered"]
-    else:
-        header = ["replicate", "probability", "terminal_n", "half", "estimate", "converged", "covered"]
-    write_csv(
-        os.path.join(out, "results.csv"),
-        header,
-        list(zip(*(row for rows, *_ in results for row in rows))),
-    )
+        del header[1], columns[1]
+    write_csv(os.path.join(args.out, "results.csv"), header, columns)
 
     if reps > 1:
-        terminal = np.array([t for _, t, _, _ in results], dtype=float)
-        converged_count = sum(1 for _, _, c, _ in results if c)
-        coverage = sum(1 for *_, cov in results if cov) / reps
+        terminal = np.array([rows[0][2] for rows in results], dtype=float)
+        converged_count = sum(rows[0][5] for rows in results)
+        coverage = sum(all(row[6] for row in rows) for rows in results) / reps
         t_q = quantiles_type1(terminal, (0.25, 0.5, 0.75))
         write_csv(
-            os.path.join(out, "summary.csv"),
+            os.path.join(args.out, "summary.csv"),
             [
                 "replications",
                 "converged_count",
@@ -555,6 +480,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    try:
+        return Rng.check_seed(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _probabilities(text: str) -> tuple:
     try:
         probs = tuple(float(tok) for tok in text.split(",") if tok.strip() != "")
@@ -576,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=float, default=0.5, help="autoregression coefficient, |rho| < 1")
     p.add_argument("--tau", type=float, default=1.0, help="innovation standard deviation")
     p.add_argument("--n", type=_positive_int, default=2000, help="chain length")
-    p.add_argument("--seed", type=int, default=1976)
+    p.add_argument("--seed", type=_seed, default=1976)
     p.add_argument("--probabilities", type=_probabilities, default=(0.25, 0.75),
                    help="comma-separated quantile probabilities")
     p.add_argument("--out", default="out/ar1")
@@ -585,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tda",
                        help="data-augmentation chain for the 4-df t target with moment series")
     p.add_argument("--n", type=_positive_int, default=2000)
-    p.add_argument("--seed", type=int, default=100)
+    p.add_argument("--seed", type=_seed, default=100)
     p.add_argument("--out", default="out/tda")
     p.set_defaults(func=run_tda)
 
@@ -595,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y-bar", type=float, default=1.0, help="observed sample mean")
     p.add_argument("--s2", type=float, default=4.0, help="observed (biased) sample variance")
     p.add_argument("--n", type=_positive_int, default=2000)
-    p.add_argument("--seed", type=int, default=100)
+    p.add_argument("--seed", type=_seed, default=100)
     p.add_argument("--rb-variant", choices=("plugin", "mixture"), default="plugin",
                    help="conditional-density estimate of the mu marginal")
     p.add_argument("--out", default="out/gibbs-normal")
@@ -609,7 +541,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--transform", choices=sorted(_TRANSFORMS), default="id")
     p.add_argument("--probabilities", type=_probabilities, default=None,
                    help="report subsampling quantile errors instead of the mean")
-    p.add_argument("--seed", type=int, default=0, help="recorded in the manifest; this command draws nothing")
     p.add_argument("--out", default=None, help="also write report.txt and manifest.txt here")
     p.set_defaults(func=run_mcse)
 
@@ -627,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="inflate the level so the quantile intervals hold jointly")
     p.add_argument("--probabilities", type=_probabilities, default=(0.25, 0.75))
     p.add_argument("--replications", type=_positive_int, default=1)
-    p.add_argument("--seed", type=int, default=1976)
+    p.add_argument("--seed", type=_seed, default=1976)
     p.add_argument("--out", default="out/stop")
     p.set_defaults(func=run_stop)
 

@@ -294,7 +294,8 @@ def silverman_bandwidth(values, factor: float = 0.9) -> float:
     """Reference-rule bandwidth factor * min(sd, IQR/1.34) * n^(-1/5).
 
     Falls back to the standard deviation when ties collapse the IQR; a
-    constant sample has no usable bandwidth and raises.
+    constant sample, or one whose spread overflows the float range, has no
+    usable bandwidth and raises.
     """
     x = _chain_1d(values)
     if x.size < 2:
@@ -304,6 +305,8 @@ def silverman_bandwidth(values, factor: float = 0.9) -> float:
     spread = min(sd, float(q75 - q25) / 1.34)
     if spread == 0.0:
         spread = sd
+    if not math.isfinite(spread):
+        raise ValueError(f"sample spread overflows the float range (sd {sd}, quartiles {q25}, {q75})")
     if spread <= 0.0:
         raise ValueError("sample is constant; kernel bandwidth would be zero")
     return factor * spread * x.size ** -0.2
@@ -332,7 +335,8 @@ def kde_2d(
     """Product-Gaussian-kernel density on an n_grid x n_grid lattice.
 
     ``lims = (x_lo, x_hi, y_lo, y_hi)`` defaults to the data ranges and must
-    be finite; density[i, j] is the estimate at (x_grid[i], y_grid[j]).
+    be finite, as must each axis's span; density[i, j] is the estimate at
+    (x_grid[i], y_grid[j]).
     """
     x = _chain_1d(x_samples)
     y = _chain_1d(y_samples)
@@ -347,6 +351,9 @@ def kde_2d(
         lims = (float(x.min()), float(x.max()), float(y.min()), float(y.max()))
     if not all(math.isfinite(v) for v in lims):
         raise ValueError(f"density limits must be finite, got {tuple(lims)}")
+    for lo, hi in (lims[:2], lims[2:]):
+        if not math.isfinite(hi - lo):
+            raise ValueError(f"density grid [{lo}, {hi}] overflows the float range")
     gx = np.linspace(lims[0], lims[1], n_grid)
     gy = np.linspace(lims[2], lims[3], n_grid)
     # the product needs both whole kernel matrices: the GEMM's rounding depends on its operands' shapes

@@ -29,11 +29,16 @@ class Rng:
     """
 
     def __init__(self, seed: int):
+        self.seed = self.check_seed(seed)
+        self._gen = np.random.Generator(np.random.PCG64(self.seed))
+
+    @staticmethod
+    def check_seed(seed) -> int:
+        """``seed`` as an int, if it fits in an unsigned 64-bit integer; else ValueError."""
         seed = int(seed)
         if not 0 <= seed <= _UINT64_MAX:
             raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {seed}")
-        self.seed = seed
-        self._gen = np.random.Generator(np.random.PCG64(seed))
+        return seed
 
     def __repr__(self) -> str:
         return f"Rng(seed={self.seed})"

@@ -3,9 +3,12 @@
 The simulation grows until the interval half-width, padded by 1/N, drops
 to the target epsilon: ``while half + 1/N > epsilon: N += step``. The 1/N
 term forces N >= 1/epsilon before termination can even be considered.
-Everything is recomputed from scratch at each check, exactly as a batch
-re-analysis would; checks happen only every ``step`` iterations so the
-total cost stays modest.
+Both rules run one loop, ``_grow``; each check recomputes the reported
+intervals from scratch, exactly as a batch re-analysis would, with
+``ci_mean`` (OBM, df n - b + 1) for the mean and ``ci_quantiles``
+(subsampling, optionally Bonferroni-adjusted) for quantiles, so the rule
+stops on the same intervals the estimators report. Checks happen only
+every ``step`` iterations so the total cost stays modest.
 
 Hitting ``max_n`` without meeting the criterion is a reportable outcome
 (``converged=False``), not an exception, so replication studies can tally
@@ -15,12 +18,11 @@ non-convergence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .distributions import t_quantile
-from .mcse import MIN_SAMPLES, mcse_obm, subsample_quantile_se
+from .mcse import MIN_SAMPLES, Interval, ci_mean, ci_quantiles
 from .rng import Rng
 from .samplers import Chain
 
@@ -59,10 +61,29 @@ class StoppingResult:
     chain: Chain | None = None
 
 
-def _mean_half_width(chain: Chain, level: float) -> float:
-    est = mcse_obm(chain.values, "sqroot")
-    df = est.n - est.b + 1
-    return t_quantile(level, df) * est.se
+def _grow(
+    source, config: StoppingConfig, rng: Rng, intervals: Callable[[np.ndarray], list[Interval]]
+) -> StoppingResult:
+    # the largest half-width among the intervals of the current chain drives the stop
+    chain = source.start(config.pilot_n, rng)
+    trace = []
+    while True:
+        n = len(chain)
+        ivs = intervals(chain.values)
+        half = max(iv.half_width for iv in ivs)
+        trace.append((n, half))
+        if half + 1.0 / n <= config.epsilon or n >= config.max_n:
+            break
+        chain = source.extend(chain, config.step, rng)
+    return StoppingResult(
+        terminal_n=n,
+        half_width=half,
+        half_widths=np.array([iv.half_width for iv in ivs]),
+        estimates=np.array([iv.center for iv in ivs]),
+        converged=half + 1.0 / n <= config.epsilon,
+        trace=trace,
+        chain=chain,
+    )
 
 
 def fixed_width_mean(source, config: StoppingConfig, rng: Rng) -> StoppingResult:
@@ -70,31 +91,7 @@ def fixed_width_mean(source, config: StoppingConfig, rng: Rng) -> StoppingResult
 
     ``source`` provides ``start(n, rng)`` and ``extend(chain, p, rng)``.
     """
-    chain = source.start(config.pilot_n, rng)
-    n = len(chain)
-    half = _mean_half_width(chain, config.level)
-    trace = [(n, half)]
-    while half + 1.0 / n > config.epsilon and n < config.max_n:
-        chain = source.extend(chain, config.step, rng)
-        n = len(chain)
-        half = _mean_half_width(chain, config.level)
-        trace.append((n, half))
-    return StoppingResult(
-        terminal_n=n,
-        half_width=half,
-        half_widths=np.array([half]),
-        estimates=np.array([float(np.mean(chain.values))]),
-        converged=half + 1.0 / n <= config.epsilon,
-        trace=trace,
-        chain=chain,
-    )
-
-
-def _quantile_check(chain: Chain, probabilities, level: float, bonferroni: bool):
-    qset = subsample_quantile_se(chain.values, probabilities)
-    adj = 1.0 - (1.0 - level) / len(qset.probabilities) if bonferroni else level
-    crit = t_quantile(adj, qset.n - qset.b + 1)
-    return crit * qset.ses, qset
+    return _grow(source, config, rng, lambda v: [ci_mean(v, "OBM", config.level)])
 
 
 def fixed_width_quantiles(
@@ -109,24 +106,4 @@ def fixed_width_quantiles(
     With ``bonferroni`` the critical level is inflated to 1 - (1-level)/k
     so the k intervals hold simultaneously.
     """
-    probs = tuple(float(p) for p in probabilities)
-    chain = source.start(config.pilot_n, rng)
-    n = len(chain)
-    halves, qset = _quantile_check(chain, probs, config.level, bonferroni)
-    half = float(np.max(halves))
-    trace = [(n, half)]
-    while half + 1.0 / n > config.epsilon and n < config.max_n:
-        chain = source.extend(chain, config.step, rng)
-        n = len(chain)
-        halves, qset = _quantile_check(chain, probs, config.level, bonferroni)
-        half = float(np.max(halves))
-        trace.append((n, half))
-    return StoppingResult(
-        terminal_n=n,
-        half_width=half,
-        half_widths=halves,
-        estimates=qset.point_estimates,
-        converged=half + 1.0 / n <= config.epsilon,
-        trace=trace,
-        chain=chain,
-    )
+    return _grow(source, config, rng, lambda v: ci_quantiles(v, probabilities, config.level, bonferroni))

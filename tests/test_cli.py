@@ -434,3 +434,99 @@ def test_mcse_subcommand_computes_each_estimator_once(fixture_16, capsys, monkey
         monkeypatch.setattr(cli, name, counting, raising=False)
     assert run_cli(["mcse", "--input", fixture_16, "--batch", 4] + extra) == 0
     assert len(calls) == 1
+
+
+_STOP_SMALL = ["--rho", 0.5, "--max-n", 2000]
+
+
+@pytest.mark.parametrize(
+    "argv, lines",
+    [
+        (["ar1", "--n", 50], ["command=ar1", "rho=0.5", "tau=1.0", "n=50", "seed=1976",
+                              "probabilities=0.25,0.75"]),
+        (["tda", "--n", 50, "--seed", 18446744073709551615],
+         ["command=tda", "n=50", "seed=18446744073709551615"]),
+        (["gibbs-normal", "--n", 50, "--y-bar", 2, "--rb-variant", "mixture"],
+         ["command=gibbs-normal", "m=11", "y_bar=2.0", "s2=4.0", "n=50", "seed=100", "rb_variant=mixture"]),
+        (["mcse", "--input", "IN", "--batch", 4],
+         ["command=mcse", "input=IN", "method=bm", "batch=4", "transform=id"]),
+        (["mcse", "--input", "IN", "--method", "obm", "--probabilities", "0.1,0.5"],
+         ["command=mcse", "input=IN", "method=obm", "batch=sqroot", "transform=id", "probabilities=0.1,0.5"]),
+        (["stop", *_STOP_SMALL],
+         ["command=stop", "target=mean", "rho=0.5", "tau=1.0", "epsilon=0.1", "level=0.9", "step=1000",
+          "pilot=2000", "max_n=2000", "bonferroni=false", "probabilities=0.25,0.75", "replications=1",
+          "seed=1976"]),
+        (["stop", "--target", "quantiles", *_STOP_SMALL],
+         ["command=stop", "target=quantiles", "rho=0.5", "tau=1.0", "epsilon=0.1", "level=0.9", "step=2000",
+          "pilot=2000", "max_n=2000", "bonferroni=false", "probabilities=0.25,0.75", "replications=1",
+          "seed=1976"]),
+        (["stop", "--target", "quantiles", "--bonferroni", "--step", 300, "--replications", 2, *_STOP_SMALL],
+         ["command=stop", "target=quantiles", "rho=0.5", "tau=1.0", "epsilon=0.1", "level=0.9", "step=300",
+          "pilot=2000", "max_n=2000", "bonferroni=true", "probabilities=0.25,0.75", "replications=2",
+          "seed=1976"]),
+    ],
+)
+def test_manifest_text_is_pinned(tmp_path, fixture_16, argv, lines):
+    # the exact text, flag order included: replay and byte identity depend on it
+    out = tmp_path / "m"
+    argv = [fixture_16 if a == "IN" else a for a in argv]
+    lines = [f"input={fixture_16}" if line == "input=IN" else line for line in lines]
+    assert run_cli(argv + ["--out", out]) == 0
+    assert (out / "manifest.txt").read_text(encoding="utf-8") == "\n".join(lines + [f"out={out}"]) + "\n"
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, "1.5"])
+@pytest.mark.parametrize("command", ["ar1", "tda", "gibbs-normal", "stop"])
+def test_bad_seed_is_a_usage_error(tmp_path, capsys, command, seed):
+    out = tmp_path / "s"
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, "--seed", seed, "--out", out])
+    assert exc.value.code == 1
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_mcse_takes_no_seed(tmp_path, fixture_16, capsys):
+    out = tmp_path / "m"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["mcse", "--input", fixture_16, "--seed", 5, "--out", out])
+    assert exc.value.code == 1
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
+
+
+def test_stop_replicate_seeds_wrap_past_the_largest_seed(tmp_path):
+    # replicate i runs Rng(seed).spawn(i): seed 2**64 - 1 is followed by seed 0
+    last, zero = tmp_path / "last", tmp_path / "zero"
+    assert run_cli(["stop", "--seed", 2**64 - 1, "--replications", 2, *_STOP_SMALL, "--out", last]) == 0
+    assert run_cli(["stop", "--seed", 0, *_STOP_SMALL, "--out", zero]) == 0
+    _, rows = read_csv(last / "results.csv")
+    _, zero_rows = read_csv(zero / "results.csv")
+    assert rows[1][0] == "1" and rows[1][1:] == zero_rows[0][1:]
+    assert rows[0][1:] != zero_rows[0][1:]
+
+
+@pytest.mark.parametrize("target", ["mean", "quantiles"])
+def test_stop_rows_match_direct_stopping_runs(tmp_path, target):
+    # each row against the library rule run on that replicate's stream and the analytic truth
+    from mcmc_confidence import (Ar1Params, Ar1Source, Rng, StoppingConfig, fixed_width_mean,
+                                 fixed_width_quantiles, normal_quantile)
+    from mcmc_confidence.cli import format_value
+
+    out = tmp_path / "s"
+    assert run_cli(["stop", "--target", target, "--rho", 0.5, "--replications", 3, "--seed", 9, "--out", out]) == 0
+    _, rows = read_csv(out / "results.csv")
+    source = Ar1Source(Ar1Params(0.5))
+    sd = 1.0 / math.sqrt(1.0 - 0.25)
+    expected = []
+    for i in range(3):
+        if target == "mean":
+            res = fixed_width_mean(source, StoppingConfig(step=1000), Rng(9).spawn(i))
+            truths = [(None, 0.0)]
+        else:
+            res = fixed_width_quantiles(source, (0.25, 0.75), StoppingConfig(step=2000), Rng(9).spawn(i))
+            truths = [(p, normal_quantile(p) * sd) for p in (0.25, 0.75)]
+        for (p, truth), est, half in zip(truths, res.estimates, res.half_widths):
+            row = [i, p, res.terminal_n, half, est, res.converged, abs(est - truth) <= half]
+            expected.append([format_value(v) for v in row if v is not None])
+    assert rows == expected

@@ -23,6 +23,7 @@ from mcmc_confidence import (
     running_mean,
     running_quantile_se,
     running_quantiles,
+    silverman_bandwidth,
     subsample_quantile_se,
     tda_run,
 )
@@ -332,6 +333,22 @@ def test_kde_2d_validation():
         kde_2d(np.arange(10.0), np.arange(9.0))
     with pytest.raises(ValueError):
         kde_2d(np.full(50, 1.0), np.arange(50.0))
+
+
+@pytest.mark.parametrize("lims", [None, (-1e308, 1e308, 0.0, 3.0), (0.0, 3.0, 1.7e308, -1.7e308)])
+def test_kde_2d_rejects_a_grid_that_overflows(lims):
+    # every limit is finite, but the span of one axis is not
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="density grid .* overflows"):
+            kde_2d([-1e308, 0.0, 1.0, 1e308], [0.0, 1.0, 2.0, 3.0], n_grid=3, lims=lims)
+
+
+@pytest.mark.parametrize("values", [[-1.7e308, 1.7e308], [0.0] * 20 + [1e200, -1e200]])
+def test_silverman_bandwidth_names_an_overflowing_spread(values):
+    # the IQR overflows in the first sample; ties zero it in the second, leaving an infinite sd
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="spread overflows"):
+            silverman_bandwidth(values)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -8,6 +8,8 @@ from mcmc_confidence import (
     Ar1Source,
     Rng,
     StoppingConfig,
+    ci_mean,
+    ci_quantiles,
     fixed_width_mean,
     fixed_width_quantiles,
     normal_quantile,
@@ -156,3 +158,27 @@ def test_quantile_trace_records_every_check():
     res = fixed_width_quantiles(source, (0.25, 0.75), config, Rng(33))
     ns = [n for n, _ in res.trace]
     assert ns == list(range(2000, res.terminal_n + 1, 2000))
+
+
+@pytest.mark.parametrize(
+    "target, bonferroni",
+    [("mean", False), ((0.25, 0.75), False), ((0.1, 0.5, 0.9), True)],
+)
+def test_rules_report_the_intervals_of_ci_mean_and_ci_quantiles(target, bonferroni):
+    # every check, the last one included, stops on exactly the intervals the estimators report
+    source = make_source(0.7)
+    config = StoppingConfig(epsilon=0.08, level=0.9, step=1500, pilot_n=2000)
+    if target == "mean":
+        res = fixed_width_mean(source, config, Rng(41))
+        intervals = lambda v: [ci_mean(v, "OBM", config.level)]  # noqa: E731
+    else:
+        res = fixed_width_quantiles(source, target, config, Rng(41), bonferroni=bonferroni)
+        intervals = lambda v: ci_quantiles(v, target, config.level, bonferroni)  # noqa: E731
+    assert len(res.trace) > 1
+    final = intervals(res.chain.values)
+    assert res.half_widths.tobytes() == np.array([iv.half_width for iv in final]).tobytes()
+    assert res.estimates.tobytes() == np.array([iv.center for iv in final]).tobytes()
+    assert res.half_width == max(iv.half_width for iv in final)
+    for n, half in res.trace:
+        assert half == max(iv.half_width for iv in intervals(res.chain.values[:n]))
+    assert res.trace[-1] == (res.terminal_n, res.half_width)
