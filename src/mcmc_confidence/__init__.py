@@ -52,11 +52,9 @@ from .samplers import (
     TdaState,
     ar1_extend,
     ar1_run,
-    ar1_step,
     nv_gibbs_run,
     nv_gibbs_step,
     tda_run,
-    tda_step,
 )
 from .stopping import StoppingConfig, StoppingResult, fixed_width_mean, fixed_width_quantiles
 

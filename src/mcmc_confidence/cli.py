@@ -3,10 +3,10 @@
 Each run writes its artifacts plus a ``manifest.txt`` holding the fully
 resolved flag set, derived from the parsed namespace (``write_manifest``);
 replaying the manifest (``argv_from_manifest``) reproduces every CSV byte
-for byte. The parser validates what it can (counts, seeds, probabilities)
-before any file is written. Numbers are serialized with 10
-significant digits, missing values as the literal token "NA", lines end
-with LF.
+for byte. The parser validates what it can (counts, seeds, probabilities,
+batch sizes) before any input is read or any file is written. Numbers are
+serialized with 10 significant digits, missing values as the literal token
+"NA", lines end with LF.
 
 CSV is written a column at a time: ``write_csv`` takes one 1-D array per
 column and formats each in one pass chosen by its dtype (floats, integers;
@@ -58,6 +58,7 @@ EXIT_IO = 3
 _RUNNING_LEVEL = 0.9
 
 _TRANSFORMS = {"id": None, "square": np.square}
+_BATCH_RULES = ("sqroot", "cuberoot")
 
 _KDE2D_LIMS = (-1.5, 3.5, 1.0, 15.0)
 _RB_GRID = (-3.0, 4.0, 701)
@@ -295,39 +296,42 @@ def _read_lines(path: str) -> np.ndarray:
     return np.asarray(values, dtype=float)
 
 
+def _loadtxt(source, skip: int) -> np.ndarray:
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        return np.loadtxt(source, delimiter=",", usecols=0, comments=None, ndmin=1, skiprows=skip,
+                          encoding="utf-8")
+
+
 def _read_single_column(path: str) -> np.ndarray:
     """The first comma-separated field of every line of ``path`` as finite floats.
 
     One bulk parse covers well-formed files. ``np.loadtxt`` takes a subset of
     what ``_read_lines`` takes (not whitespace-only lines, empty first fields,
-    digit underscores or non-ASCII digits) and parses it to the same doubles;
-    when it rejects the file, or the file holds a non-finite value,
-    ``_read_lines`` gives the result or names the line at fault.
+    digit underscores or non-ASCII digits) and parses it to the same doubles.
+    When it rejects the path, it gets the stripped lines with the blank ones
+    ``_read_lines`` skips left out; it parses a path over twice as fast as
+    lines, so clean files do not pay for that filter. When this fails too,
+    or the file holds a non-finite value, ``_read_lines`` gives the result
+    or names the line at fault.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        first = _first_field(fh.readline())
+        first = fh.readline()
     try:
-        float(first)
+        float(_first_field(first))
         skip = 0
-    except ValueError:  # a header, or a blank first line
+    except ValueError:  # a header, an empty first field, or a blank first line
         skip = 1
     try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            values = np.loadtxt(path, delimiter=",", usecols=0, comments=None, ndmin=1,
-                                skiprows=skip, encoding="utf-8")
+        values = _loadtxt(path, skip)
     except ValueError:
-        return _read_lines(path)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                # a blank first line is filtered out, not skipped
+                values = _loadtxt(filter(None, map(str.strip, fh)), skip if first.strip() else 0)
+        except ValueError:
+            return _read_lines(path)
     return values if np.isfinite(values).all() else _read_lines(path)
-
-
-def _parse_batch(text: str):
-    if text in ("sqroot", "cuberoot"):
-        return text
-    try:
-        return float(text)
-    except ValueError:
-        raise ValueError(f"unknown batch policy {text!r}") from None
 
 
 def run_mcse(args) -> int:
@@ -355,7 +359,7 @@ def run_mcse(args) -> int:
                 f"upper_q_{tag}={format_value(iv.upper)}",
             ]
     else:
-        policy = _parse_batch(args.batch)
+        policy = args.batch if args.batch in _BATCH_RULES else float(args.batch)
         g = _TRANSFORMS[args.transform]
         interval = ci_mean(values, args.method, level=_RUNNING_LEVEL, policy=policy, g=g)
         lines += [
@@ -470,14 +474,33 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+
+
+def _batch(text: str) -> str:
+    # the text as typed, so the report and the manifest repeat it
+    if text in _BATCH_RULES:
+        return text
     try:
-        value = int(text)
+        size = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+        size = math.nan
+    if not (math.isfinite(size) and size >= 2.0):
+        raise argparse.ArgumentTypeError(f"expected sqroot, cuberoot or a finite size of at least 2, got {text!r}")
+    return text
 
 
 def _seed(text: str) -> int:
@@ -537,7 +560,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="standard errors and intervals for a chain stored as single-column CSV")
     p.add_argument("--input", required=True, help="path to a single-column CSV (header optional)")
     p.add_argument("--method", choices=("bm", "obm"), default="bm")
-    p.add_argument("--batch", default="sqroot", help="sqroot, cuberoot, or an explicit batch size")
+    p.add_argument("--batch", type=_batch, default="sqroot",
+                   help="sqroot, cuberoot, or an explicit batch size (its floor, at least 2)")
     p.add_argument("--transform", choices=sorted(_TRANSFORMS), default="id")
     p.add_argument("--probabilities", type=_probabilities, default=None,
                    help="report subsampling quantile errors instead of the mean")
@@ -550,9 +574,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=float, default=1.0)
     p.add_argument("--epsilon", type=float, default=0.1, help="target half-width")
     p.add_argument("--level", type=float, default=0.9, help="one-sided t level per interval")
-    p.add_argument("--step", type=int, default=None,
+    p.add_argument("--step", type=_positive_int, default=None,
                    help="iterations added per check (default 1000 for mean, 2000 for quantiles)")
-    p.add_argument("--pilot", type=int, default=2000, help="pilot chain length")
+    p.add_argument("--pilot", type=_int_at_least(MIN_SAMPLES), default=2000, help="pilot chain length")
     p.add_argument("--max-n", type=int, default=200_000, help="simulation budget")
     p.add_argument("--bonferroni", action="store_true",
                    help="inflate the level so the quantile intervals hold jointly")

@@ -1,17 +1,23 @@
 """Distribution functions and the special functions behind them.
 
-Scalar, pure, and dependency-free (stdlib ``math`` only): log-gamma,
-regularized incomplete beta, normal and Student-t CDFs and quantiles, and
-the heavy-tailed example density the data-augmentation sampler targets.
-Quantiles are found by bracketing the root of the CDF and polishing with
-safeguarded secant steps, so correctness does not hinge on closed-form
-approximations. Non-integer degrees of freedom are accepted everywhere.
+Scalar, pure, and dependency-free (stdlib ``math`` and ``statistics``
+only): log-gamma, regularized incomplete beta, normal and Student-t CDFs
+and quantiles, and the heavy-tailed example density the data-augmentation
+sampler targets. Non-integer degrees of freedom are accepted everywhere.
+
+The Student-t quantile needs no root search. Where the term it omits is
+below an ulp it is the Cornish-Fisher series in 1/df (Abramowitz & Stegun
+26.7.5); elsewhere Newton steps in ln t from that series, or for small df
+from the power-law tail (Hill, CACM 13, 1970, Algorithm 396), act on the
+log of the upper tail, or near the median of the central mass p - 1/2.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
+from statistics import NormalDist
 
 __all__ = [
     "ln_gamma",
@@ -24,45 +30,24 @@ __all__ = [
     "t4_pdf",
 ]
 
-# Lanczos approximation, g = 7, 9 terms.
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_LN_SQRT_2PI = 0.9189385332046727417803297364056176
 _SQRT_2PI = 2.506628274631000502415765284811045
 _SQRT2 = 1.4142135623730951
+_LN_SQRT_PI = 0.5723649429247000870717136756012478
 
 _BETA_MAX_ITER = 300
 _BETA_EPS = 1e-14
 _TINY = 1e-300
 
-# probability-scale tolerance for the quantile root finders
-_INVERT_PROB_TOL = 1e-12
+_EPS = sys.float_info.epsilon
+_LN_SQRT_MAX = 0.5 * math.log(sys.float_info.max)
+_STD_NORMAL = NormalDist()
 
 
 def ln_gamma(x: float) -> float:
     """Natural log of the gamma function, x > 0."""
     if x <= 0.0 or math.isnan(x):
         raise ValueError(f"ln_gamma requires x > 0, got {x}")
-    if x < 0.5:
-        # reflection: Gamma(x) Gamma(1-x) = pi / sin(pi x)
-        return math.log(math.pi / math.sin(math.pi * x)) - ln_gamma(1.0 - x)
-    z = x - 1.0
-    acc = _LANCZOS_COEF[0]
-    for i in range(1, len(_LANCZOS_COEF)):
-        acc += _LANCZOS_COEF[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _LN_SQRT_2PI + (z + 0.5) * math.log(t) - t + math.log(acc)
+    return math.lgamma(x)
 
 
 def _beta_cont_frac(a: float, b: float, x: float) -> float:
@@ -78,36 +63,22 @@ def _beta_cont_frac(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, _BETA_MAX_ITER + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if -_TINY < d < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if -_TINY < c < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if -_TINY < d < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if -_TINY < c < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        # the even and the odd step of the m-th pair of partial numerators
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)), -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + aa * d
+            if -_TINY < d < _TINY:
+                d = _TINY
+            c = 1.0 + aa / c
+            if -_TINY < c < _TINY:
+                c = _TINY
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < _BETA_EPS:
             return h
     raise ArithmeticError(
         f"incomplete beta continued fraction did not converge (a={a}, b={b}, x={x})"
     )
-
-
-@lru_cache(maxsize=64)
-def _minus_ln_beta(a: float, b: float) -> float:
-    # -ln B(a, b); one t_quantile evaluates its CDF at a single (a, b) many times
-    return ln_gamma(a + b) - ln_gamma(a) - ln_gamma(b)
 
 
 def reg_inc_beta(a: float, b: float, x: float) -> float:
@@ -120,7 +91,7 @@ def reg_inc_beta(a: float, b: float, x: float) -> float:
         return 0.0
     if x == 1.0:
         return 1.0
-    ln_front = _minus_ln_beta(a, b) + a * math.log(x) + b * math.log1p(-x)
+    ln_front = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b) + a * math.log(x) + b * math.log1p(-x)
     front = math.exp(ln_front)
     # symmetry switch keeps the continued fraction in its fast-converging region
     if x < (a + 1.0) / (a + b + 2.0):
@@ -131,37 +102,6 @@ def reg_inc_beta(a: float, b: float, x: float) -> float:
 def _check_prob(p: float) -> None:
     if not 0.0 < p < 1.0:
         raise ValueError(f"probability must lie strictly inside (0, 1), got {p}")
-
-
-def _invert_increasing(f, target: float, lo: float, hi: float) -> float:
-    """Solve f(x) = target for increasing f with f(lo) <= target <= f(hi).
-
-    Secant steps are projected back into the bracket (bisection fallback),
-    so the iteration cannot escape and terminates either on the
-    probability-scale tolerance or on bracket collapse.
-    """
-    x0, f0 = lo, f(lo) - target
-    x1, f1 = hi, f(hi) - target
-    if f0 > 0.0 or f1 < 0.0:
-        raise ValueError("root is not bracketed")
-    for _ in range(256):
-        if f1 != f0:
-            x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
-        else:
-            x2 = 0.5 * (lo + hi)
-        if not lo < x2 < hi:
-            x2 = 0.5 * (lo + hi)
-        f2 = f(x2) - target
-        if abs(f2) <= _INVERT_PROB_TOL:
-            return x2
-        if f2 < 0.0:
-            lo = x2
-        else:
-            hi = x2
-        x0, f0, x1, f1 = x1, f1, x2, f2
-        if hi - lo <= 1e-15 * (abs(lo) + abs(hi)) + _TINY:
-            break
-    return 0.5 * (lo + hi)
 
 
 def normal_cdf(x: float) -> float:
@@ -179,40 +119,99 @@ def normal_pdf(x: float, mean: float = 0.0, sd: float = 1.0) -> float:
 def normal_quantile(p: float) -> float:
     """Inverse standard normal CDF."""
     _check_prob(p)
-    if p == 0.5:
-        return 0.0
-    if p < 0.5:
-        return -normal_quantile(1.0 - p)
-    hi = 1.0
-    while normal_cdf(hi) < p:
-        hi *= 2.0
-    return _invert_increasing(normal_cdf, p, 0.0, hi)
+    return _STD_NORMAL.inv_cdf(p)
+
+
+def _ln_gamma_half_ratio(a: float) -> float:
+    # ln(Gamma(a + 1/2) / Gamma(a)); for large a the difference of lgammas
+    # cancels, so the asymptotic series (truncation below 2.2e-16 from a = 16)
+    if a < 16.0:
+        return math.lgamma(a + 0.5) - math.lgamma(a)
+    r = 1.0 / (a * a)
+    return 0.5 * math.log(a) - (1 / 8 - r * (1 / 192 - r * (1 / 640 - r * (17 / 14336 - r * 31 / 18432)))) / a
+
+
+def _t_mass(t: float, df: float) -> tuple[bool, float, float]:
+    """``(central, ln m, d ln m / d ln t)`` for t > 0: m is the central mass
+    P(0 < T < t) where its continued fraction converges fast, otherwise the
+    upper tail P(T > t); the switch of ``reg_inc_beta`` at x = df / (df + t^2)."""
+    a = 0.5 * df
+    t2 = t * t
+    # ln of x^a (1-x)^(1/2) / B(a, 1/2) with 1 - x = t^2 / (df + t^2), the
+    # last factor in a form that does not cancel on its side of the switch
+    ln_front = -a * math.log1p(t2 / df) + _ln_gamma_half_ratio(a) - _LN_SQRT_PI
+    if t2 * (df + 2.0) < 3.0 * df:
+        cf = _beta_cont_frac(0.5, a, t2 / (df + t2))
+        return True, ln_front + math.log(t) - 0.5 * math.log(df + t2) + math.log(cf), 1.0 / cf
+    cf = _beta_cont_frac(a, 0.5, df / (df + t2))
+    return False, ln_front - 0.5 * math.log1p(df / t2) + math.log(cf / df), -df / cf
 
 
 def t_cdf(x: float, df: float) -> float:
     """Student-t CDF with df > 0 degrees of freedom (need not be integer)."""
-    if df <= 0.0:
-        raise ValueError(f"degrees of freedom must be positive, got {df}")
+    if not 0.0 < df < math.inf or math.isnan(x):
+        raise ValueError(f"t_cdf needs finite df > 0 and x not NaN, got x={x}, df={df}")
     if x == 0.0:
         return 0.5
-    tail = reg_inc_beta(0.5 * df, 0.5, df / (df + x * x))
-    return 1.0 - 0.5 * tail if x > 0.0 else 0.5 * tail
+    central, ln_m, _ = _t_mass(abs(x), df)
+    m = math.exp(ln_m)
+    if central:
+        return 0.5 + math.copysign(m, x)
+    return 1.0 - m if x > 0.0 else m
+
+
+def _cornish_fisher(z: float, df: float) -> tuple[float, float]:
+    """The t quantile at normal quantile z > 0 from A&S 26.7.5 to order
+    df^-4, and the df^-5 term it omits (positive, like every g_k(z) / z)."""
+    z2 = z * z
+    r = 1.0 / df
+    g1 = z * (z2 + 1.0) / 4.0
+    g2 = z * ((5.0 * z2 + 16.0) * z2 + 3.0) / 96.0
+    g3 = z * (((3.0 * z2 + 19.0) * z2 + 17.0) * z2 - 15.0) / 384.0
+    g4 = z * ((((79.0 * z2 + 776.0) * z2 + 1482.0) * z2 - 1920.0) * z2 - 945.0) / 92160.0
+    g5 = z * (((((27.0 * z2 + 339.0) * z2 + 930.0) * z2 - 1782.0) * z2 - 765.0) * z2 + 17955.0) / 368640.0
+    return z + r * (g1 + r * (g2 + r * (g3 + r * g4))), g5 * r**5
 
 
 @lru_cache(maxsize=4096)
 def t_quantile(p: float, df: float) -> float:
-    """Inverse Student-t CDF; antisymmetric about p = 1/2 by construction."""
-    if df <= 0.0:
+    """Inverse Student-t CDF, antisymmetric about p = 1/2 by construction;
+    OverflowError beyond |t| = 1e154, which only df below 2 reach."""
+    if not df > 0.0:
         raise ValueError(f"degrees of freedom must be positive, got {df}")
     _check_prob(p)
     if p == 0.5:
         return 0.0
-    if p < 0.5:
-        return -t_quantile(1.0 - p, df)
-    hi = 1.0
-    while t_cdf(hi, df) < p:
-        hi *= 2.0
-    return _invert_increasing(lambda v: t_cdf(v, df), p, 0.0, hi)
+    # the quantile of max(p, 1 - p) carrying the sign of p - 1/2; the tail
+    # min(p, 1 - p) and the central mass |p - 1/2| are both exact
+    tail = min(p, 1.0 - p)
+    t, omitted = _cornish_fisher(-_STD_NORMAL.inv_cdf(tail), df)
+    if omitted > _EPS * t:
+        if omitted < 1e-3 * t:  # the series is still a close start
+            u = math.log(t)
+        else:
+            # solves the power-law tail P(T > t) ~ (df / t^2)^(df/2) / (df B(df/2, 1/2)),
+            # which exceeds P(T > t), so u starts above the root
+            u = 0.5 * math.log(df) + (_ln_gamma_half_ratio(0.5 * df) - _LN_SQRT_PI - math.log(df * tail)) / df
+        t = _t_newton(u, tail, abs(p - 0.5), df)
+    return math.copysign(t, p - 0.5)
+
+
+def _t_newton(u: float, tail: float, mass: float, df: float) -> float:
+    # Newton steps in u = ln t on ln P(0 < T < t) - ln mass or ln P(T > t) - ln tail,
+    # whichever _t_mass evaluates at the iterate; both are concave in u and
+    # share their root, so the iterates cross it at most once. Convergence is
+    # quadratic: after a step below 1e-9 the error is of the order of its square.
+    if u > _LN_SQRT_MAX:
+        raise OverflowError(f"t quantile out of float range (tail {tail}, df {df})")
+    ln_mass, ln_tail = math.log(mass), math.log(tail)
+    for _ in range(100):
+        central, ln_m, slope = _t_mass(math.exp(u), df)
+        step = ((ln_mass if central else ln_tail) - ln_m) / slope
+        u += step
+        if abs(step) < 1e-9:
+            return math.exp(u)
+    raise ArithmeticError(f"t quantile did not converge (tail {tail}, df {df})")
 
 
 def t4_pdf(x: float) -> float:

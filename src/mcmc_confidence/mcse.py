@@ -35,7 +35,7 @@ import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -172,16 +172,44 @@ def _sigma2(stats: np.ndarray, b: int, a: int, n: Optional[int] = None):
     return b * ss / (a - 1) if n is None else n * b * ss / ((a - 1) * a)
 
 
-def _mean_estimate(sigma2, b: int, a: int, n: int, method: str) -> McseEstimate:
+class _Layout(NamedTuple):
+    x: np.ndarray
+    n: int
+    b: int
+    a: int
+    warning: bool
+
+
+def _layout(values, policy: BatchPolicy, overlapping: bool) -> Optional[_Layout]:
+    """The checked chain and its batches, or None when n < MIN_SAMPLES.
+
+    Overlapping windows number a = n - b + 1; non-overlapping blocks
+    n // b, of which there must be two.
+    """
+    x = _as_values(values)
+    n = x.size
+    if n < MIN_SAMPLES:
+        return None
+    b, a = batch_layout(n, policy)
+    if overlapping:
+        if b >= n:
+            raise ValueError(f"batch size {b} must be smaller than the chain length {n}")
+        a = n - b + 1
+    elif a < 2:
+        raise ValueError(f"batch size {b} leaves fewer than two batches for n={n}")
+    return _Layout(x, n, b, a, n < SMALL_SAMPLE_WARN)
+
+
+def _mean_estimate(sigma2, lay: _Layout, method: str) -> McseEstimate:
     sigma2 = float(sigma2)
     return McseEstimate(
-        se=math.sqrt(sigma2 / n),
+        se=math.sqrt(sigma2 / lay.n),
         sigma2_hat=sigma2,
-        b=b,
-        a=a,
-        n=n,
+        b=lay.b,
+        a=lay.a,
+        n=lay.n,
         method=method,
-        warning=n < SMALL_SAMPLE_WARN,
+        warning=lay.warning,
     )
 
 
@@ -192,15 +220,11 @@ def _batch_means(gx: np.ndarray, b: int, a: int) -> np.ndarray:
 
 def mcse_bm(values, policy: BatchPolicy = "sqroot", g: Transform = None) -> Optional[McseEstimate]:
     """Batch-means standard error of mean(g(x)); None when n < MIN_SAMPLES."""
-    x = _as_values(values)
-    n = x.size
-    if n < MIN_SAMPLES:
+    lay = _layout(values, policy, overlapping=False)
+    if lay is None:
         return None
-    b, a = batch_layout(n, policy)
-    if a < 2:
-        raise ValueError(f"batch size {b} leaves fewer than two batches for n={n}")
-    gx = _apply_transform(x, g)
-    return _mean_estimate(_sigma2(_batch_means(gx, b, a), b, a), b, a, n, "BM")
+    gx = _apply_transform(lay.x, g)
+    return _mean_estimate(_sigma2(_batch_means(gx, lay.b, lay.a), lay.b, lay.a), lay, "BM")
 
 
 def _prefix_sums(gx: np.ndarray) -> np.ndarray:
@@ -216,17 +240,12 @@ def _window_means(cs: np.ndarray, b: int, n: int) -> np.ndarray:
 
 def mcse_obm(values, policy: BatchPolicy = "sqroot", g: Transform = None) -> Optional[McseEstimate]:
     """Overlapping-batch-means standard error; None when n < MIN_SAMPLES."""
-    x = _as_values(values)
-    n = x.size
-    if n < MIN_SAMPLES:
+    lay = _layout(values, policy, overlapping=True)
+    if lay is None:
         return None
-    b, _ = batch_layout(n, policy)
-    if b >= n:
-        raise ValueError(f"batch size {b} must be smaller than the chain length {n}")
-    a = n - b + 1
-    gx = _apply_transform(x, g)
-    window_means = _window_means(_prefix_sums(gx), b, n)
-    return _mean_estimate(_sigma2(window_means, b, a, n), b, a, n, "OBM")
+    gx = _apply_transform(lay.x, g)
+    window_means = _window_means(_prefix_sums(gx), lay.b, lay.n)
+    return _mean_estimate(_sigma2(window_means, lay.b, lay.a, lay.n), lay, "OBM")
 
 
 def _type1_index(n: int, p: float) -> int:
@@ -286,22 +305,19 @@ def subsample_quantile_se(values, probabilities: Sequence[float] = (0.25, 0.75))
     the OBM dispersion formula applied to those per-window quantiles gives
     sigma2 and se per probability. Point estimates come from the full chain.
     """
-    x = _as_values(values)
-    n = x.size
-    if n < MIN_SAMPLES:
+    lay = _layout(values, "sqroot", overlapping=True)
+    if lay is None:
         return None
     probs = _quantile_probs(probabilities)
-    b = math.isqrt(n)
-    a = n - b + 1
-    sigma2 = _sigma2(_window_quantiles(x, b, probs), b, a, n)
+    sigma2 = _sigma2(_window_quantiles(lay.x, lay.b, probs), lay.b, lay.a, lay.n)
     return QuantileSeSet(
         probabilities=probs,
-        point_estimates=quantiles_type1(x, probs),
-        ses=np.sqrt(sigma2 / n),
-        b=b,
-        a=a,
-        n=n,
-        warning=n < SMALL_SAMPLE_WARN,
+        point_estimates=quantiles_type1(lay.x, probs),
+        ses=np.sqrt(sigma2 / lay.n),
+        b=lay.b,
+        a=lay.a,
+        n=lay.n,
+        warning=lay.warning,
     )
 
 

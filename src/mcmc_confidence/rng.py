@@ -1,19 +1,16 @@
 """Seeded random source shared by every sampler in the package.
 
 A single ``Rng`` owns one PCG64 stream. The seed fully determines every
-draw sequence, draws are identical across runs and platforms, and the
-state round-trips through ``state_dict`` so a stream can be checkpointed
-and resumed mid-run. Rejection-based draws (gamma) consume a variable
-number of underlying uniforms, so determinism is a property of the
-uniform stream, not of a fixed draw count.
+draw sequence, and draws are identical across runs and platforms.
+Rejection-based draws (gamma) consume a variable number of underlying
+uniforms, so determinism is a property of the uniform stream, not of a
+fixed draw count.
 
 Gamma draws use the shape-rate convention throughout: the density is
 proportional to ``x**(shape-1) * exp(-rate*x)``.
 """
 
 from __future__ import annotations
-
-import copy
 
 import numpy as np
 
@@ -51,10 +48,6 @@ class Rng:
 
     # scalar draws ---------------------------------------------------------
 
-    def uniform(self) -> float:
-        """One draw from U[0, 1)."""
-        return float(self._gen.random())
-
     def normal(self, mean: float = 0.0, sd: float = 1.0) -> float:
         if sd <= 0.0:
             raise ValueError(f"normal draw needs sd > 0, got {sd}")
@@ -67,9 +60,6 @@ class Rng:
 
     # batch draws ----------------------------------------------------------
 
-    def uniforms(self, n: int) -> np.ndarray:
-        return self._gen.random(int(n))
-
     def normals(self, n: int, mean: float = 0.0, sd: float = 1.0) -> np.ndarray:
         if sd <= 0.0:
             raise ValueError(f"normal draw needs sd > 0, got {sd}")
@@ -79,15 +69,3 @@ class Rng:
         if shape <= 0.0 or rate <= 0.0:
             raise ValueError(f"gamma draw needs shape > 0 and rate > 0, got ({shape}, {rate})")
         return self._gen.gamma(shape, 1.0 / rate, size=int(n))
-
-    # checkpointing --------------------------------------------------------
-
-    def state_dict(self) -> dict:
-        """JSON-serializable snapshot; restoring it continues the stream exactly."""
-        return {"seed": self.seed, "state": copy.deepcopy(self._gen.bit_generator.state)}
-
-    @classmethod
-    def from_state_dict(cls, snapshot: dict) -> "Rng":
-        rng = cls(snapshot["seed"])
-        rng._gen.bit_generator.state = copy.deepcopy(snapshot["state"])
-        return rng

@@ -22,11 +22,9 @@ __all__ = [
     "NormalPosteriorParams",
     "TdaState",
     "Chain",
-    "ar1_step",
     "ar1_run",
     "ar1_extend",
     "Ar1Source",
-    "tda_step",
     "tda_run",
     "nv_gibbs_step",
     "nv_gibbs_run",
@@ -97,10 +95,6 @@ class Chain:
 # AR(1) -------------------------------------------------------------------
 
 
-def ar1_step(x: float, params: Ar1Params, rng: Rng) -> float:
-    return params.rho * x + rng.normal(0.0, params.tau)
-
-
 def _ar1_recur(x0: float, rho: float, eps: np.ndarray) -> np.ndarray:
     out = np.empty(eps.size + 1)
     out[0] = x = x0
@@ -162,16 +156,6 @@ class Ar1Source:
 # data augmentation for the t4 target ---------------------------------------
 
 
-def tda_step(state: TdaState, rng: Rng) -> TdaState:
-    """One transition (x', y') -> (x, y') -> (x, y).
-
-    x | y' ~ N(0, 1/y'), then y | x ~ Gamma(5/2, rate 2 + x^2/2).
-    """
-    x = rng.normal(0.0, math.sqrt(1.0 / state.y))
-    y = rng.gamma(2.5, 2.0 + 0.5 * x * x)
-    return TdaState(x, y)
-
-
 def tda_run(n: int, rng: Rng, init: TdaState = TdaState(1.0, 1.0)) -> Chain:
     """Bivariate (x, y) chain of n states, init included as state 1."""
     if n < 1:
@@ -198,27 +182,16 @@ def nv_gibbs_step(
     state: tuple[float, float],
     params: NormalPosteriorParams,
     rng: Rng,
-    order: str = "theta-first",
 ) -> tuple[float, float]:
     """One Gibbs transition for (mu, theta).
 
-    Default order refreshes the variance first: theta | mu via the inverse
-    gamma (reciprocal of a gamma draw), then mu | theta ~ N(y_bar,
-    theta/m). ``order="mu-first"`` runs the two conditional draws the other
-    way round; both leave the same posterior invariant.
+    The variance is refreshed first: theta | mu via the inverse gamma
+    (reciprocal of a gamma draw), then mu | theta ~ N(y_bar, theta/m).
     """
     mu, theta = state
     m, y_bar, s2 = params.m, params.y_bar, params.s2
-    if order == "theta-first":
-        g = rng.gamma(0.5 * (m - 1), 0.5 * m * (s2 + (y_bar - mu) ** 2))
-        theta = 1.0 / g
-        mu = rng.normal(y_bar, math.sqrt(theta / m))
-    elif order == "mu-first":
-        mu = rng.normal(y_bar, math.sqrt(theta / m))
-        g = rng.gamma(0.5 * (m - 1), 0.5 * m * (s2 + (y_bar - mu) ** 2))
-        theta = 1.0 / g
-    else:
-        raise ValueError(f"unknown update order {order!r}")
+    theta = 1.0 / rng.gamma(0.5 * (m - 1), 0.5 * m * (s2 + (y_bar - mu) ** 2))
+    mu = rng.normal(y_bar, math.sqrt(theta / m))
     return mu, theta
 
 
@@ -227,7 +200,6 @@ def nv_gibbs_run(
     params: NormalPosteriorParams,
     rng: Rng,
     init: tuple[float, float] = (1.0, 1.0),
-    order: str = "theta-first",
 ) -> Chain:
     """Bivariate (mu, theta) chain of n states, init included as state 1."""
     if n < 1:
@@ -235,17 +207,15 @@ def nv_gibbs_run(
     mu, theta = float(init[0]), float(init[1])
     if theta <= 0.0:
         raise ValueError(f"variance coordinate theta must be positive, got {theta}")
-    if order not in ("theta-first", "mu-first"):
-        raise ValueError(f"unknown update order {order!r}")
     out = np.empty((n, 2))
     out[0, 0], out[0, 1] = mu, theta
     for i in range(1, n):
-        mu, theta = nv_gibbs_step((mu, theta), params, rng, order)
+        mu, theta = nv_gibbs_step((mu, theta), params, rng)
         out[i, 0] = mu
         out[i, 1] = theta
     return Chain(
         values=out,
         sampler="normal-gibbs",
-        params={"m": params.m, "y_bar": params.y_bar, "s2": params.s2, "order": order},
+        params={"m": params.m, "y_bar": params.y_bar, "s2": params.s2},
         seed=rng.seed,
     )

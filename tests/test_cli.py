@@ -486,6 +486,39 @@ def test_bad_seed_is_a_usage_error(tmp_path, capsys, command, seed):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["mcse", "--batch", "foo"], "--batch"),
+        (["mcse", "--batch", "1.5"], "--batch"),
+        (["mcse", "--batch", "inf"], "--batch"),
+        (["mcse", "--batch", "nan"], "--batch"),
+        (["stop", "--step", 0], "--step"),
+        (["stop", "--pilot", 5], "--pilot"),
+    ],
+)
+def test_bad_batch_step_or_pilot_is_a_usage_error(tmp_path, capsys, argv, flag):
+    # the input does not exist: a usage error must be found before it is read
+    if argv[0] == "mcse":
+        argv = argv + ["--input", tmp_path / "missing.csv"]
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv + ["--out", out])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert flag in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("batch", ["2", "4.5", "cuberoot"])
+def test_batch_is_recorded_as_typed(tmp_path, fixture_16, capsys, batch):
+    out = tmp_path / "m"
+    assert run_cli(["mcse", "--input", fixture_16, "--batch", batch, "--out", out]) == 0
+    assert f"batch={batch}\n" in capsys.readouterr().out
+    assert f"batch={batch}\n" in (out / "manifest.txt").read_text(encoding="utf-8")
+
+
 def test_mcse_takes_no_seed(tmp_path, fixture_16, capsys):
     out = tmp_path / "m"
     with pytest.raises(SystemExit) as exc:

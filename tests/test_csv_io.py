@@ -269,3 +269,21 @@ def test_column_writer_header_only_and_length_check(io_dir):
         assert fh.read() == b"a,b\n"
     with pytest.raises(ValueError, match="differ in length"):
         write_csv(path, ["a", "b"], [np.arange(3), np.arange(4.0)])
+
+
+@pytest.mark.parametrize("text", [
+    "value\n1.5\n  \n2.5\n\t\n",
+    "  \n1\n2\n",
+    "\xa0\n1\n2\n",
+    "1\r\n2\r\n \r\n",
+    "value\n1\n2\n\x0c",
+])
+def test_whitespace_only_lines_do_not_fall_back_to_the_line_reader(io_dir, monkeypatch, text):
+    path = _write(io_dir, text.encode("utf-8"))
+    expected = _outcome(reference_read_single_column, path)
+
+    def line_reader(_path):
+        raise AssertionError("read line by line")
+
+    monkeypatch.setattr(cli, "_read_lines", line_reader)
+    assert _outcome(cli._read_single_column, path) == expected

@@ -277,3 +277,13 @@ def test_t4_pdf_even(x):
 def test_t4_pdf_integrates_to_one():
     integral = adaptive_simpson(t4_pdf, -50.0, 50.0, 1e-10)
     assert abs(integral - 1.0) < 1e-6
+
+
+def test_t_functions_reject_nan_and_infinite_df():
+    for x, df in ((math.nan, 5.0), (1.0, math.nan), (1.0, math.inf)):
+        with pytest.raises(ValueError):
+            t_cdf(x, df)
+    for p, df in ((math.nan, 5.0), (0.9, math.nan)):
+        with pytest.raises(ValueError):
+            t_quantile(p, df)
+    assert t_cdf(math.inf, 5.0) == 1.0 and t_cdf(-math.inf, 5.0) == 0.0

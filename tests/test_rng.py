@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -9,20 +8,20 @@ from mcmc_confidence import Rng, normal_cdf
 
 def test_same_seed_same_streams():
     a, b = Rng(1976), Rng(1976)
-    assert np.array_equal(a.uniforms(1000), b.uniforms(1000))
     assert np.array_equal(a.normals(1000), b.normals(1000))
     assert np.array_equal(a.gammas(1000, 2.5, 2.0), b.gammas(1000, 2.5, 2.0))
 
 
 def test_distinct_seeds_differ():
-    assert not np.array_equal(Rng(1).uniforms(100), Rng(2).uniforms(100))
+    assert not np.array_equal(Rng(1).normals(100), Rng(2).normals(100))
+    assert not np.array_equal(Rng(1).gammas(100, 2.5, 2.0), Rng(2).gammas(100, 2.5, 2.0))
 
 
 def test_mixed_op_sequence_reproducible():
     def run(seed):
         r = Rng(seed)
-        out = [r.uniform(), r.normal(0.0, 2.0), r.gamma(4.5, 22.0)]
-        out.extend(r.uniforms(17).tolist())
+        out = [r.normal(0.0, 2.0), r.gamma(4.5, 22.0)]
+        out.extend(r.normals(17).tolist())
         out.append(r.normal(-1.0, 0.5))
         out.extend(r.gammas(5, 1.0, 1.0).tolist())
         return out
@@ -31,8 +30,6 @@ def test_mixed_op_sequence_reproducible():
 
 
 def test_scalar_and_batch_draws_share_the_stream():
-    r1, r2 = Rng(3), Rng(3)
-    assert np.array_equal(r1.uniforms(50), np.array([r2.uniform() for _ in range(50)]))
     r1, r2 = Rng(4), Rng(4)
     assert np.array_equal(r1.normals(50), np.array([r2.normal() for _ in range(50)]))
     r1, r2 = Rng(5), Rng(5)
@@ -44,22 +41,6 @@ def test_scalar_and_batch_draws_share_the_stream():
 def test_batch_composition():
     a, b = Rng(3), Rng(3)
     assert np.array_equal(np.concatenate([a.normals(137), a.normals(63)]), b.normals(200))
-
-
-def test_state_round_trip_through_json():
-    r = Rng(9)
-    r.uniforms(123)
-    snapshot = json.loads(json.dumps(r.state_dict()))
-    restored = Rng.from_state_dict(snapshot)
-    assert np.array_equal(r.normals(64), restored.normals(64))
-    assert r.gamma(1.5, 3.0) == restored.gamma(1.5, 3.0)
-
-
-def test_snapshot_is_independent_of_later_draws():
-    r = Rng(9)
-    snapshot = r.state_dict()
-    r.uniforms(10)
-    assert np.array_equal(Rng.from_state_dict(snapshot).uniforms(10), Rng(9).uniforms(10))
 
 
 def test_seed_validation():
@@ -74,17 +55,10 @@ def test_spawn_offsets_seed():
     base = Rng(100)
     child = base.spawn(3)
     assert child.seed == 103
-    assert np.array_equal(child.uniforms(10), Rng(103).uniforms(10))
+    assert np.array_equal(child.normals(10), Rng(103).normals(10))
+    assert np.array_equal(base.spawn(4).gammas(10, 2.5, 2.0), Rng(104).gammas(10, 2.5, 2.0))
     with pytest.raises(ValueError):
         base.spawn(-1)
-
-
-def test_uniform_range_and_moments():
-    u = Rng(2024).uniforms(10**6)
-    assert float(u.min()) >= 0.0
-    assert float(u.max()) < 1.0
-    assert abs(float(u.mean()) - 0.5) < 0.002
-    assert abs(float(u.var()) - 1.0 / 12.0) < 0.002
 
 
 def test_normal_moments():

@@ -12,28 +12,34 @@ from mcmc_confidence import (
     acf,
     ar1_extend,
     ar1_run,
-    ar1_step,
     normal_cdf,
     nv_gibbs_run,
     nv_gibbs_step,
     t_cdf,
     tda_run,
-    tda_step,
 )
 
 
 class StubRng:
     """Scripted draws so the deterministic part of a transition is testable."""
 
+    seed = None
+
     def __init__(self, normals=(), gammas=()):
         self._normals = list(normals)
         self._gammas = list(gammas)
         self.normal_calls = []
+        self.normals_calls = []
         self.gamma_calls = []
 
     def normal(self, mean=0.0, sd=1.0):
         self.normal_calls.append((mean, sd))
         return self._normals.pop(0)
+
+    def normals(self, n, mean=0.0, sd=1.0):
+        self.normals_calls.append((n, mean, sd))
+        draws, self._normals = self._normals[:n], self._normals[n:]
+        return np.array(draws)
 
     def gamma(self, shape, rate):
         self.gamma_calls.append((shape, rate))
@@ -57,16 +63,19 @@ def test_ar1_params_validation():
     assert Ar1Params(0.5).stationary_sd == pytest.approx(math.sqrt(4.0 / 3.0))
 
 
+# one AR(1) step is the second state of a two-state run
+
+
 def test_ar1_step_deterministic_part():
-    assert ar1_step(2.0, Ar1Params(0.5), StubRng(normals=[0.0])) == 1.0
+    assert ar1_run(2, Ar1Params(0.5), StubRng(normals=[0.0]), x0=2.0).values[1] == 1.0
     for rho in (0.1, 0.9, -0.5):
-        assert ar1_step(0.0, Ar1Params(rho), StubRng(normals=[0.3])) == 0.3
+        assert ar1_run(2, Ar1Params(rho), StubRng(normals=[0.3]), x0=0.0).values[1] == 0.3
 
 
 def test_ar1_step_uses_innovation_scale():
     stub = StubRng(normals=[0.0])
-    ar1_step(1.0, Ar1Params(0.5, tau=2.5), stub)
-    assert stub.normal_calls == [(0.0, 2.5)]
+    ar1_run(2, Ar1Params(0.5, tau=2.5), stub)
+    assert stub.normals_calls == [(1, 0.0, 2.5)]
 
 
 def test_ar1_run_includes_start():
@@ -139,18 +148,21 @@ def test_ar1_lag_one_autocorrelation(rho):
 # data augmentation ---------------------------------------------------------------
 
 
+# one data-augmentation step (x', y') -> (x, y) is the second state of a two-state run
+
+
 def test_tda_step_conditional_structure():
     stub = StubRng(normals=[0.0], gammas=[7.7])
-    new = tda_step(TdaState(5.0, 1.0), stub)
-    assert new.x == 0.0
-    assert new.y == 7.7
+    new = tda_run(2, stub, init=TdaState(5.0, 1.0)).values[1]
+    assert new[0] == 0.0
+    assert new[1] == 7.7
     assert stub.normal_calls == [(0.0, 1.0)]  # sd = sqrt(1/y')
     assert stub.gamma_calls == [(2.5, 2.0)]  # rate = 2 + x^2/2 at x = 0
 
 
 def test_tda_step_rate_uses_new_x():
     stub = StubRng(normals=[3.0], gammas=[1.0])
-    tda_step(TdaState(0.0, 4.0), stub)
+    tda_run(2, stub, init=TdaState(0.0, 4.0))
     assert stub.normal_calls == [(0.0, 0.5)]
     assert stub.gamma_calls == [(2.5, 2.0 + 4.5)]
 
@@ -175,7 +187,7 @@ def test_tda_run_matches_stepwise_iteration():
     state = TdaState(0.5, 2.0)
     rows = [state]
     for _ in range(n - 1):
-        state = tda_step(state, rng)
+        state = TdaState(*tda_run(2, rng, init=state).values[1])
         rows.append(state)
     assert np.array_equal(chain.values, np.array(rows))
 
@@ -236,24 +248,6 @@ def test_nv_step_forced_draw_structure():
     assert stub.gamma_calls == [(5.0, 11.0 * (4.0 + 1.0) / 2.0)]
     # mu draw used the fresh theta
     assert stub.normal_calls == [(1.0, math.sqrt(1.0 / 11.0))]
-
-
-def test_nv_step_mu_first_order():
-    params = NormalPosteriorParams(m=11, y_bar=1.0, s2=4.0)
-    stub = StubRng(normals=[3.0], gammas=[0.5])
-    mu, theta = nv_gibbs_step((0.0, 9.0), params, stub, order="mu-first")
-    assert stub.normal_calls == [(1.0, math.sqrt(9.0 / 11.0))]  # old theta
-    assert stub.gamma_calls == [(5.0, 11.0 * (4.0 + 4.0) / 2.0)]  # new mu = 3
-    assert (mu, theta) == (3.0, 2.0)
-    with pytest.raises(ValueError):
-        nv_gibbs_step((0.0, 1.0), params, StubRng(normals=[0.0], gammas=[1.0]), order="sideways")
-
-
-def test_nv_step_mu_first_order_flag():
-    params = NormalPosteriorParams()
-    a = nv_gibbs_run(200, params, Rng(12), order="theta-first")
-    b = nv_gibbs_run(200, params, Rng(12), order="mu-first")
-    assert not np.array_equal(a.values, b.values)
 
 
 def test_nv_run_basics():
