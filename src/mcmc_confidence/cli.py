@@ -432,35 +432,18 @@ def run_stop(args) -> int:
 
     if reps > 1:
         terminal = np.array([rows[0][2] for rows in results], dtype=float)
-        converged_count = sum(rows[0][5] for rows in results)
-        coverage = sum(all(row[6] for row in rows) for rows in results) / reps
         t_q = quantiles_type1(terminal, (0.25, 0.5, 0.75))
-        write_csv(
-            os.path.join(args.out, "summary.csv"),
-            [
-                "replications",
-                "converged_count",
-                "coverage",
-                "terminal_n_min",
-                "terminal_n_q25",
-                "terminal_n_median",
-                "terminal_n_q75",
-                "terminal_n_max",
-            ],
-            [
-                [v]
-                for v in (
-                    reps,
-                    converged_count,
-                    coverage,
-                    int(terminal.min()),
-                    int(t_q[0]),
-                    int(t_q[1]),
-                    int(t_q[2]),
-                    int(terminal.max()),
-                )
-            ],
-        )
+        summary = {
+            "replications": reps,
+            "converged_count": sum(rows[0][5] for rows in results),
+            "coverage": sum(all(row[6] for row in rows) for rows in results) / reps,
+            "terminal_n_min": int(terminal.min()),
+            "terminal_n_q25": int(t_q[0]),
+            "terminal_n_median": int(t_q[1]),
+            "terminal_n_q75": int(t_q[2]),
+            "terminal_n_max": int(terminal.max()),
+        }
+        write_csv(os.path.join(args.out, "summary.csv"), list(summary), [[v] for v in summary.values()])
     return EXIT_OK
 
 

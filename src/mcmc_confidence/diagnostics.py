@@ -5,13 +5,14 @@ k = 1..n, where record k depends only on the first k values and the last
 record matches the corresponding full-chain computation exactly. The
 standard-error sweeps group the prefixes by their sqroot batch size
 b = isqrt(k), which is constant for k in [b^2, (b+1)^2 - 1]. Each group
-computes its batch statistics once, on the group's longest prefix, and
-every prefix in it applies the estimators' own dispersion formula to the
-leading rows of those statistics: the first k // b block means, or the
-first k - b + 1 window means or window quantiles. Those rows are the very
-values the estimator would compute on the prefix, reduced in the same
-order, so prefix consistency is exact, not approximate. Standard errors
-are NaN for prefixes shorter than the estimators' minimum sample size.
+computes its batch statistics once, on the group's longest prefix, scans
+their dispersion once, and finishes all its prefixes in one vectorised
+expression from the scan's rows: a prefix's row covers the first k // b
+block means, or the first k - b + 1 window means or window quantiles, the
+very values the estimator computes on it, so prefix consistency is exact.
+A group costs O(b^2) after its statistics, where re-reducing every prefix
+cost O(b^3). Standard errors are NaN for prefixes shorter than the
+estimators' minimum sample size.
 
 The density estimators (kde_1d, kde_2d, rb_marginal_mu) share one Gaussian
 kernel core. It computes the kernel terms on tiles of 16 grid rows by one
@@ -41,6 +42,7 @@ from .mcse import (
     _prefix_sums,
     _quantile_probs,
     _sigma2,
+    _sum_sq_scan,
     _type1_index,
     _window_means,
     _window_quantiles,
@@ -124,9 +126,6 @@ def running_quantiles(values, probabilities: Sequence[float]) -> np.ndarray:
     """
     x = _chain_1d(values)
     probs = [float(p) for p in probabilities]
-    for p in probs:
-        if not 0.0 < p <= 1.0:
-            raise ValueError(f"quantile probability must lie in (0, 1], got {p}")
     out = np.empty((x.size, len(probs)))
     prefix: list[float] = []
     for k, v in enumerate(x.tolist(), start=1):
@@ -152,9 +151,10 @@ def running_mcse(values, method: str = "BM", g: Transform = None) -> np.ndarray:
     out = np.full(x.size, np.nan)
     for b, first, last in _sqroot_groups(x.size):
         stats = _window_means(cs, b, last) if obm else _batch_means(gx, b, last // b)
-        for k in range(first, last + 1):
-            a = k - b + 1 if obm else k // b
-            out[k - 1] = math.sqrt(_sigma2(stats[:a], b, a, k if obm else None) / k)
+        k = np.arange(first, last + 1)
+        a = k - b + 1 if obm else k // b
+        ss = _sum_sq_scan(stats)[a - 1]
+        out[first - 1 : last] = np.sqrt(_sigma2(ss, b, a, k if obm else None) / k)
     return out
 
 
@@ -165,9 +165,9 @@ def running_quantile_se(values, probabilities: Sequence[float]) -> np.ndarray:
     probs = _quantile_probs(probabilities)
     out = np.full((x.size, len(probs)), np.nan)
     for b, first, last in _sqroot_groups(x.size):
-        stats = _window_quantiles(x[:last], b, probs)
-        for k in range(first, last + 1):
-            out[k - 1] = np.sqrt(_sigma2(stats[: k - b + 1], b, k - b + 1, k) / k)
+        k = np.arange(first, last + 1)[:, None]
+        ss = _sum_sq_scan(_window_quantiles(x[:last], b, probs))[first - b : last - b + 1]
+        out[first - 1 : last] = np.sqrt(_sigma2(ss, b, k - b + 1, k) / k)
     return out
 
 

@@ -12,15 +12,17 @@ built around:
   quantile substituted for the window mean.
 
 All three share one core: a per-batch statistic (block means; window means
-from one sequential prefix sum; window quantiles) and one dispersion
-formula, ``_sigma2``. Window quantiles come from a sliding sorted window
-(the running order statistics of Haerdle & Steiger, Appl. Stat. AS 296):
-each step deletes the value that leaves (``bisect_left``) and inserts the
-one that enters (``insort``), so all n - b + 1 windows cost O(n log b)
-comparisons plus an O(b) pointer memmove per step, where selecting within
-every window afresh costs O(n b). Statistics of a prefix's windows are the
-leading rows of the whole chain's, which is what lets the ``running_*``
-sweeps in ``diagnostics`` reuse them.
+from one sequential prefix sum; window quantiles), one prefix scan of their
+dispersion, ``_sum_sq_scan``, and one formula, ``_sigma2``. Window
+quantiles come from a sliding sorted window (the running order statistics
+of Haerdle & Steiger, Appl. Stat. AS 296): each step deletes the value that
+leaves (``bisect_left``) and inserts the one that enters (``insort``), so
+all n - b + 1 windows cost O(n log b) comparisons plus an O(b) pointer
+memmove per step, where selecting within every window afresh costs O(n b).
+A prefix's batch statistics are the leading rows of the whole chain's, and
+row r of the O(a) scan depends only on rows 0..r, so one scan serves every
+prefix with the same batch size, bit for bit: a direct call reads its last
+row, the ``running_*`` sweeps in ``diagnostics`` one row per prefix.
 
 Every standard error is sqrt(sigma2 / n). Chains shorter than
 ``MIN_SAMPLES`` do not produce a number: estimators return ``None`` (the
@@ -160,15 +162,48 @@ def _apply_transform(x: np.ndarray, g: Transform) -> np.ndarray:
     return gx
 
 
-def _sigma2(stats: np.ndarray, b: int, a: int, n: Optional[int] = None):
-    """Long-run variance from the a per-batch statistics laid out along axis 0.
+def _running_means(d: np.ndarray) -> np.ndarray:
+    """Mean of rows 0..r of d for every r: a sequential cumsum / count, each
+    add's exact rounding error put back (Knuth's TwoSum), so the means stay
+    within about an ulp where a plain cumsum drifts a rounding per row."""
+    m = np.cumsum(d, axis=0)
+    # err[j]: the exact rounding error of the add m[j + 1] = m[j] + d[j + 1]
+    step = m[1:] - m[:-1]
+    err = m[1:] - step
+    np.subtract(m[:-1], err, out=err)
+    np.subtract(d[1:], step, out=step)
+    err += step
+    m[1:] += np.cumsum(err, axis=0, out=err)
+    del step, err
+    m /= np.arange(1, len(d) + 1, dtype=float).reshape((-1,) + (1,) * (d.ndim - 1))
+    return m
 
-    With S the sum of squared deviations from their mean: b * S / (a - 1)
-    for BM blocks (``n`` None), n * b * S / ((a - 1) * a) for OBM and
-    subsampling windows. Slicing the leading rows of a C-contiguous array
-    keeps numpy's reduction order, so a prefix's value is reproduced exactly.
+
+def _sum_sq_scan(stats: np.ndarray) -> np.ndarray:
+    """S[r], the sum of squared deviations of rows 0..r of stats from their mean.
+
+    Welford's update (Technometrics 4, 1962) on d = s - s[0], with m the
+    running means of d: S[0] = 0 and S[r] = S[r-1] + (d[r] - m[r-1]) *
+    (d[r] - m[r]). All sums are sequential cumsums, so row r depends only on
+    rows 0..r. It stays accurate where C2 - C1^2 / a cancels (Chan, Golub &
+    LeVeque, Am. Stat. 37, 1983), and as d[0] = 0 makes S >= m^2, no step's
+    rounding takes it below zero. Over a burn-in transient at a = 1e6, plain
+    cumsum means put S 1e-12 off, ``_running_means`` 4e-14.
     """
-    ss = np.sum((stats - stats.mean(axis=0)) ** 2, axis=0)
+    # at most four buffers the size of stats, reused in place
+    d = stats - stats[0]
+    m = _running_means(d)
+    step = d[1:] - m[:-1]
+    np.subtract(d[1:], m[1:], out=d[1:])
+    d[1:] *= step
+    # d[0] is +0.0, so S[0] = 0 and no S is -0.0
+    return np.cumsum(d, axis=0, out=d)
+
+
+def _sigma2(ss, b: int, a, n=None):
+    """Long-run variance from S of a statistics: b * S / (a - 1) for BM blocks
+    (``n`` None), n * b * S / ((a - 1) * a) for OBM and subsampling windows.
+    ``a`` and ``n`` may be arrays, one entry per prefix."""
     return b * ss / (a - 1) if n is None else n * b * ss / ((a - 1) * a)
 
 
@@ -224,7 +259,8 @@ def mcse_bm(values, policy: BatchPolicy = "sqroot", g: Transform = None) -> Opti
     if lay is None:
         return None
     gx = _apply_transform(lay.x, g)
-    return _mean_estimate(_sigma2(_batch_means(gx, lay.b, lay.a), lay.b, lay.a), lay, "BM")
+    ss = _sum_sq_scan(_batch_means(gx, lay.b, lay.a))[-1]
+    return _mean_estimate(_sigma2(ss, lay.b, lay.a), lay, "BM")
 
 
 def _prefix_sums(gx: np.ndarray) -> np.ndarray:
@@ -244,8 +280,8 @@ def mcse_obm(values, policy: BatchPolicy = "sqroot", g: Transform = None) -> Opt
     if lay is None:
         return None
     gx = _apply_transform(lay.x, g)
-    window_means = _window_means(_prefix_sums(gx), lay.b, lay.n)
-    return _mean_estimate(_sigma2(window_means, lay.b, lay.a, lay.n), lay, "OBM")
+    ss = _sum_sq_scan(_window_means(_prefix_sums(gx), lay.b, lay.n))[-1]
+    return _mean_estimate(_sigma2(ss, lay.b, lay.a, lay.n), lay, "OBM")
 
 
 def _type1_index(n: int, p: float) -> int:
@@ -309,7 +345,8 @@ def subsample_quantile_se(values, probabilities: Sequence[float] = (0.25, 0.75))
     if lay is None:
         return None
     probs = _quantile_probs(probabilities)
-    sigma2 = _sigma2(_window_quantiles(lay.x, lay.b, probs), lay.b, lay.a, lay.n)
+    ss = _sum_sq_scan(_window_quantiles(lay.x, lay.b, probs))[-1]
+    sigma2 = _sigma2(ss, lay.b, lay.a, lay.n)
     return QuantileSeSet(
         probabilities=probs,
         point_estimates=quantiles_type1(lay.x, probs),
@@ -319,6 +356,11 @@ def subsample_quantile_se(values, probabilities: Sequence[float] = (0.25, 0.75))
         n=lay.n,
         warning=lay.warning,
     )
+
+
+def _t_interval(center: float, se: float, crit: float, **fields) -> Interval:
+    half = crit * se
+    return Interval(center=center, se=se, half_width=half, lower=center - half, upper=center + half, **fields)
 
 
 def ci_mean(
@@ -345,19 +387,7 @@ def ci_mean(
         return None
     df = est.a - 1 if meth == "BM" else est.n - est.b + 1
     center = float(np.mean(_apply_transform(x, g)))
-    half = t_quantile(level, df) * est.se
-    return Interval(
-        center=center,
-        se=est.se,
-        half_width=half,
-        lower=center - half,
-        upper=center + half,
-        df=df,
-        level=level,
-        method=meth,
-        b=est.b,
-        a=est.a,
-    )
+    return _t_interval(center, est.se, t_quantile(level, df), df=df, level=level, method=meth, b=est.b, a=est.a)
 
 
 def ci_quantiles(
@@ -378,22 +408,8 @@ def ci_quantiles(
     adj_level = 1.0 - (1.0 - level) / k if bonferroni else level
     df = qset.n - qset.b + 1
     crit = t_quantile(adj_level, df)
-    out = []
-    for p, q, se in zip(qset.probabilities, qset.point_estimates, qset.ses):
-        half = crit * float(se)
-        out.append(
-            Interval(
-                center=float(q),
-                se=float(se),
-                half_width=half,
-                lower=float(q) - half,
-                upper=float(q) + half,
-                df=df,
-                level=adj_level,
-                method="SUB",
-                b=qset.b,
-                a=qset.a,
-                probability=p,
-            )
-        )
-    return out
+    return [
+        _t_interval(float(q), float(se), crit, df=df, level=adj_level, method="SUB", b=qset.b, a=qset.a,
+                    probability=p)
+        for p, q, se in zip(qset.probabilities, qset.point_estimates, qset.ses)
+    ]

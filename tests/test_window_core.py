@@ -23,7 +23,15 @@ from mcmc_confidence import (
     running_quantiles,
     subsample_quantile_se,
 )
-from mcmc_confidence.mcse import MIN_SAMPLES, _window_quantiles
+from mcmc_confidence.mcse import (
+    MIN_SAMPLES,
+    _batch_means,
+    _prefix_sums,
+    _sigma2,
+    _sum_sq_scan,
+    _window_means,
+    _window_quantiles,
+)
 
 TINY = float(np.nextafter(0.0, 1.0))
 
@@ -83,6 +91,24 @@ def test_running_quantile_se_matches_direct_calls_at_group_edges(seed, b, extra)
     out = running_quantile_se(x, probs)
     for k in group_edges(b, n):
         assert np.array_equal(out[k - 1], subsample_quantile_se(x[:k], probs).ses)
+
+
+@given(seed=st.integers(0, 10_000), b=st.integers(6, 30))
+def test_fixed_batch_prefixes_with_fewer_batches_than_batch_size_read_one_scan(seed, b):
+    # a < b: BM prefixes of length 2b..b^2-1, OBM prefixes of length b+1..2b-2
+    n = b * b - 1
+    x = np.round(Rng(seed).normals(n), 1) + 100.0
+    bm_scan = _sum_sq_scan(_batch_means(x, b, n // b))
+    obm_scan = _sum_sq_scan(_window_means(_prefix_sums(x), b, 2 * b - 2))
+    for k in range(max(MIN_SAMPLES, b + 1), n + 1):
+        if k >= 2 * b:
+            est = mcse_bm(x[:k], b)
+            assert est.a < est.b
+            assert est.sigma2_hat == _sigma2(bm_scan[est.a - 1], b, est.a)
+        if k <= 2 * b - 2:
+            est = mcse_obm(x[:k], b)
+            assert est.a < est.b
+            assert est.sigma2_hat == _sigma2(obm_scan[est.a - 1], b, est.a, k)
 
 
 # non-finite input -------------------------------------------------------------
