@@ -5,7 +5,7 @@ Covers the AR(1) running-estimate studies at both persistence levels, the
 data-augmentation sampler for the 4-df t target, the normal mean/variance
 Gibbs sampler with its density estimates, and the fixed-width stopping run
 for the mean. The quantile stopping runs (plain and Bonferroni) add about
-35 s on a 2-vCPU Xeon, almost all of it the Bonferroni run, whose chain
+11 s on a 2-vCPU Xeon, almost all of it the Bonferroni run, whose chain
 grows to 266k states with a window-quantile check every 2000, so they only
 run with --full.
 

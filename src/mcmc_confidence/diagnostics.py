@@ -10,8 +10,9 @@ their dispersion once, and finishes all its prefixes in one vectorised
 expression from the scan's rows: a prefix's row covers the first k // b
 block means, or the first k - b + 1 window means or window quantiles, the
 very values the estimator computes on it, so prefix consistency is exact.
-A group costs O(b^2) after its statistics, where re-reducing every prefix
-cost O(b^3). Standard errors are NaN for prefixes shorter than the
+A group's window quantiles cost O(m log b) comparisons plus O(m b / 32)
+word operations on its longest prefix m, all in numpy (see ``mcse``); the
+rest of the group costs O(b^2), where re-reducing every prefix cost O(b^3). Standard errors are NaN for prefixes shorter than the
 estimators' minimum sample size.
 
 The density estimators (kde_1d, kde_2d, rb_marginal_mu) share one Gaussian

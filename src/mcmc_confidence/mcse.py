@@ -13,12 +13,23 @@ built around:
 
 All three share one core: a per-batch statistic (block means; window means
 from one sequential prefix sum; window quantiles), one prefix scan of their
-dispersion, ``_sum_sq_scan``, and one formula, ``_sigma2``. Window
-quantiles come from a sliding sorted window (the running order statistics
-of Haerdle & Steiger, Appl. Stat. AS 296): each step deletes the value that
-leaves (``bisect_left``) and inserts the one that enters (``insort``), so
-all n - b + 1 windows cost O(n log b) comparisons plus an O(b) pointer
-memmove per step, where selecting within every window afresh costs O(n b).
+dispersion, ``_sum_sq_scan``, and one formula, ``_sigma2``.
+
+Window quantiles are exact order statistics read from bitsets. Every
+window that starts in block j, x[jb : (j+1)b], lies inside the pair
+x[jb : jb+2b], so one argsort per pair ranks all of its windows' values. A
+window is then the set of its values' sorted slots in the pair: the OR of
+block j's one-hot slot words from its start on, and of block j+1's words
+before its end, both from one OR-accumulate. Its order statistic of rank r
+(from 0) sits at the bitset's (r+1)-th set bit, found by popcounts. All
+n - b + 1 windows cost O(n log b) comparisons plus O(n * ceil(2b / 64))
+word operations in numpy, where selecting within every window afresh costs
+O(n b). Pairs go through in chunks whose bitsets hold about
+``_BITSET_WORDS`` words (0.5 MB), so beyond the output and one padded copy
+of x a call needs a few MB whatever n is. One pair's bitsets, b^2 / 16
+words, pass that bound only for b above about 1000, and are at most
+x.nbytes / 16 for the sqroot batch size.
+
 A prefix's batch statistics are the leading rows of the whole chain's, and
 row r of the O(a) scan depends only on rows 0..r, so one scan serves every
 prefix with the same batch size, bit for bit: a direct call reads its last
@@ -34,12 +45,11 @@ Chains holding NaN or +/-inf are rejected with ``ValueError``.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .distributions import t_quantile
 
@@ -315,23 +325,77 @@ def _quantile_probs(probabilities: Sequence[float]) -> tuple:
     return probs
 
 
+# words of window bitsets per chunk of pairs, about 0.5 MB
+_BITSET_WORDS = 1 << 16
+
+
 def _window_quantiles(x: np.ndarray, b: int, probabilities) -> np.ndarray:
     """Type-1 quantiles of every length-b sliding window; C-contiguous (n-b+1, k).
 
-    One sorted list holds the current window; each step drops the value that
-    leaves and inserts the one that enters. ``x`` must be finite, since a NaN
-    breaks the ordering bisection relies on.
+    A pair x[jb : jb+2b] that runs past the end of x is padded with +inf,
+    and the windows that would reach into the padding are dropped. Window t of a pair is a
+    bitset over the pair's 2b sorted slots, and the order statistic of rank
+    r is the value at its (r+1)-th set bit: a running popcount over the
+    words picks the word, six halving popcounts the bit in it. This equals
+    selecting within the window, since the window holds exactly b slots.
+    Tied values take distinct slots but equal values, so the argsort's order
+    among ties cannot change a result. -0.0 and 0.0 compare equal, so a
+    window may yield either where selection yields the other;
+    ``_sum_sq_scan`` subtracts the first row and sums from +0.0, so the
+    standard errors come out the same bits either way. ``x`` must be
+    finite, since a NaN has no place in the ordering.
     """
-    pick = itemgetter(*[_type1_index(b, p) - 1 for p in probabilities])
-    vals = x.tolist()
-    window = sorted(vals[:b])
-    rows = [pick(window)]
-    append = rows.append
-    for old, new in zip(vals, vals[b:]):
-        del window[bisect_left(window, old)]
-        insort(window, new)
-        append(pick(window))
-    return np.array(rows, dtype=float).reshape(len(rows), -1)
+    n = x.size
+    a = n - b + 1
+    ranks = np.array([_type1_index(b, p) - 1 for p in probabilities])
+    out = np.empty((a, ranks.size))
+    blocks = -(-a // b)
+    words = -(-2 * b // 64)
+    xp = np.concatenate((x, np.full((blocks + 1) * b - n, np.inf)))
+    pairs = sliding_window_view(xp, 2 * b)[::b]
+    slot = np.arange(2 * b)
+    # sorted slot s sets bit s % 64 of word s // 64, in the column of its
+    # pair position; the first block's columns run reversed, so one
+    # OR-accumulate gives its suffixes and the second block's prefixes
+    col = np.where(slot < b, b - 1 - slot, slot)
+    word = slot // 64 * (2 * b)
+    bit = np.left_shift(np.uint64(1), (slot % 64).astype(np.uint64))
+    step = max(1, _BITSET_WORDS // (2 * b * words))
+    for j in range(0, blocks, step):
+        blk = pairs[j : j + step]
+        c = len(blk)
+        pair = np.arange(c)[:, None]
+        order = np.argsort(blk, axis=1)
+        acc = np.zeros((c, words, 2, b), np.uint64)
+        acc.reshape(-1)[pair * (words * 2 * b) + word + col[order]] = bit
+        np.bitwise_or.accumulate(acc, axis=3, out=acc)
+        win = acc[:, :, 0, ::-1].copy()
+        win[..., 1:] |= acc[:, :, 1, :-1]
+        count = np.bitwise_count(win)
+        # running popcount over words, a slice at a time: numpy's cumsum is
+        # several times slower along a middle axis
+        cum = count.astype(np.int32)
+        for i in range(1, words):
+            cum[:, i] += cum[:, i - 1]
+        # per rank and window: the word holding the bit, and the bit's rank in it
+        w = (cum <= ranks[:, None, None, None]).sum(axis=2)
+        cell = w * b + (pair * (words * b) + np.arange(b))
+        u = win.reshape(-1)[cell]
+        r = (ranks[:, None, None] - cum.reshape(-1)[cell] + count.reshape(-1)[cell]).astype(np.uint8)
+        pos = np.zeros(r.shape, np.uint8)
+        for width in (32, 16, 8, 4, 2, 1):
+            low = np.bitwise_count(u & np.uint64((1 << width) - 1))
+            up = low <= r
+            low *= up
+            r -= low
+            shift = up.view(np.uint8) * np.uint8(width)
+            u >>= shift
+            pos += shift
+        sorted_blk = np.take_along_axis(blk, order, axis=1)
+        got = sorted_blk.reshape(-1)[w * 64 + pos + pair * (2 * b)]
+        rows = out[j * b : (j + c) * b]
+        rows[:] = got.reshape(ranks.size, -1)[:, : len(rows)].T
+    return out
 
 
 def subsample_quantile_se(values, probabilities: Sequence[float] = (0.25, 0.75)) -> Optional[QuantileSeSet]:

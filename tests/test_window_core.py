@@ -1,7 +1,9 @@
-"""Property tests for the shared window core: sliding sorted-window quantiles,
-the per-batch-size reuse in the running sweeps, and non-finite rejection."""
+"""Property tests for the shared window core: the exact bitset window
+quantiles, the per-batch-size reuse in the running sweeps, and non-finite
+rejection."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from mcmc_confidence import (
     running_quantiles,
     subsample_quantile_se,
 )
+from mcmc_confidence import mcse
 from mcmc_confidence.mcse import (
     MIN_SAMPLES,
     _batch_means,
@@ -66,6 +69,60 @@ def test_window_quantiles_match_partition_reference(pairs, noise_seed, probs, da
     assert got.shape == (x.size - b + 1, len(probs))
     assert got.flags["C_CONTIGUOUS"]
     assert np.array_equal(got, reference_window_quantiles(x, b, probs))
+
+
+def edge_chains(n):
+    # runs of ties, a constant chain, and a chain mixing -0.0 and 0.0
+    rng = Rng(n)
+    tied = np.repeat(np.round(rng.normals(n), 1), 3)[:n]
+    signed = np.where(np.arange(n) % 5 < 3, -0.0, 0.0)
+    signed[::7] = np.round(rng.normals(signed[::7].size), 0)
+    return {"tied": tied, "constant": np.full(n, 2.5), "signed zeros": signed}
+
+
+@pytest.mark.parametrize("b", [2, 31, 32, 33, 63, 64, 65, 300])
+@pytest.mark.parametrize("kind", ["tied", "constant", "signed zeros"])
+def test_window_quantiles_exact_around_word_edges(b, kind):
+    # n - b + 1 is no multiple of b, so the last pair is padded; b = n is one window
+    n = 300 if b == 300 else 5 * b + b // 2 + 1
+    assert b == n or (n - b + 1) % b != 0
+    x = edge_chains(n)[kind]
+    probs = (TINY, 0.25, 0.5, 0.75, 1.0)
+    assert np.array_equal(_window_quantiles(x, b, probs), reference_window_quantiles(x, b, probs))
+
+
+@pytest.mark.parametrize("bitset_words", [1, 3 * 2 * 33 * 2])
+def test_window_quantiles_exact_across_chunks(monkeypatch, bitset_words):
+    # one pair per chunk, then three pairs per chunk with a short last chunk
+    monkeypatch.setattr(mcse, "_BITSET_WORDS", bitset_words)
+    b, n = 33, 33 * 11 + 5
+    for x in (np.round(Rng(4).normals(n), 1), *edge_chains(n).values()):
+        probs = (0.1, 0.5, 0.9)
+        assert np.array_equal(_window_quantiles(x, b, probs), reference_window_quantiles(x, b, probs))
+
+
+def test_signed_zeros_leave_standard_errors_bit_identical():
+    # the window kernel may pick -0.0 where selection picks 0.0; the
+    # standard errors must not tell the two apart
+    x = edge_chains(900)["signed zeros"]
+    unsigned = np.where(x == 0.0, 0.0, x)
+    probs = (0.25, 0.5, 0.75)
+    windows = _window_quantiles(x, 30, probs)
+    assert np.signbit(windows[windows == 0.0]).any()
+    assert subsample_quantile_se(x, probs).ses.tobytes() == subsample_quantile_se(unsigned, probs).ses.tobytes()
+    assert running_quantile_se(x, probs).tobytes() == running_quantile_se(unsigned, probs).tobytes()
+
+
+def test_window_quantiles_memory_scales_with_n_not_n_times_b():
+    # the output is 2 x.nbytes, the padded copy 1; chunk buffers are bounded
+    x = Rng(6).normals(200_000)
+    tracemalloc.start()
+    try:
+        _window_quantiles(x, 447, (0.25, 0.75))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * x.nbytes
 
 
 def group_edges(b, n):
