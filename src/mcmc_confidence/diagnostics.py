@@ -16,13 +16,20 @@ rest of the group costs O(b^2), where re-reducing every prefix cost O(b^3). Stan
 estimators' minimum sample size.
 
 The density estimators (kde_1d, kde_2d, rb_marginal_mu) share one Gaussian
-kernel core. It computes the kernel terms on tiles of 16 grid rows by one
-summation block of samples, in place in two buffers that fit in a core's
-cache, with the same arithmetic, step for step, as the broadcast formula
-exp(-0.5 z^2) / (sd sqrt(2 pi)). Terms whose exponent lies below -746 are
-exactly +0.0 and are set without calling exp, which is several times slower
-where its result underflows. The core runs in the calling thread: spread
-over threads, its wall time would hang on whether another CPU is free.
+kernel core. It streams over blocks of 4096 samples and computes the kernel
+terms on tiles of 16 grid rows by one block, in place in buffers that fit in
+a core's cache, with the same arithmetic, step for step, as the broadcast
+formula exp(-0.5 z^2) / (sd sqrt(2 pi)). Terms whose exponent lies below
+-746 are exactly +0.0 and are set without calling exp, which is several
+times slower where its result underflows. A grid point's density adds the
+blocks' row sums, or for kde_2d the blocks' kernel-matrix products, in block
+order. With one bandwidth for every sample (kde_1d), a tile computes only
+the samples within reach, |grid - sample| <= 38.63 bandwidths, beyond which
+the exponent lies below -746: each block is sorted once, and the samples out
+of reach are left as +0.0 terms in their places, so every sum is bit for bit
+the full tile's. Memory is O(grid^2 + grid * block), never O(grid * n). The
+core runs in the calling thread: spread over threads, its wall time would
+hang on whether another CPU is free.
 """
 
 from __future__ import annotations
@@ -77,6 +84,10 @@ _TILE_ROWS = 16
 
 # exp(t) is exactly +0.0 for every t below this (exp(-745.2) already is)
 _EXP_ZERO_BELOW = -746.0
+
+# |z| = |grid - mean| / sd beyond which -0.5 z^2 < _EXP_ZERO_BELOW, widened by
+# a relative margin far above the rounding of z
+_REACH_Z = math.sqrt(-2.0 * _EXP_ZERO_BELOW) * (1.0 + 1e-6)
 
 
 @dataclass(frozen=True)
@@ -235,10 +246,14 @@ def _gauss_kernel(grid, mean, sd, matrix=None) -> np.ndarray:
 
     ``mean`` and ``sd`` are per-sample arrays or scalars. Returns the row
     sums sum_j K[i, j] or, when ``matrix`` of shape (grid.size, n) is given,
-    fills it with K and returns it. A row sum adds the C-contiguous row sums
-    of the _KDE_BLOCK blocks in block order, as one (grid, block) array per
-    block would, so it does not depend on the tile height.
+    fills it with K in place and returns it; kde_2d passes one block's. A
+    row sum adds the C-contiguous row sums of the _KDE_BLOCK blocks in block
+    order, as one (grid, block) array per block would, so it depends neither
+    on the tile height nor on which terms a scalar ``sd`` lets
+    _gauss_sums_in_reach skip.
     """
+    if matrix is None and np.ndim(sd) == 0:
+        return _gauss_sums_in_reach(grid, mean, sd)
     mean, sd, denom = np.broadcast_arrays(mean, sd, np.multiply(sd, _SQRT_2PI))
     n = mean.size
     acc = np.zeros(grid.size) if matrix is None else None
@@ -254,6 +269,42 @@ def _gauss_kernel(grid, mean, sd, matrix=None) -> np.ndarray:
             if acc is not None:
                 acc[r0:r1] += out.sum(axis=1)
     return acc if matrix is None else matrix
+
+
+def _gauss_sums_in_reach(grid, mean: np.ndarray, sd: float) -> np.ndarray:
+    """Row sums of _gauss_kernel for one scalar ``sd``, computing only terms in reach.
+
+    A term whose mean lies farther than _REACH_Z * sd from its grid point has
+    an exponent below _EXP_ZERO_BELOW, so _gauss_tile makes it +0.0. Each
+    block's means are argsorted once; each tile of grid rows computes the
+    columns within reach of its rows, found by two searchsorted calls, and
+    scatters them into a zeroed (rows, block) array. That array holds the
+    whole tile's terms in their places, so its row sums are bit for bit
+    those of the full tile.
+    """
+    reach = _REACH_Z * sd  # may overflow to inf: then every column is in reach
+    denom = sd * _SQRT_2PI
+    acc = np.zeros(grid.size)
+    buf = np.empty((2, _TILE_ROWS * _KDE_BLOCK))
+    for c0 in range(0, mean.size, _KDE_BLOCK):
+        block = mean[c0 : c0 + _KDE_BLOCK]
+        order = np.argsort(block)
+        means = block[order]
+        tile = np.zeros((_TILE_ROWS, block.size))
+        for r0 in range(0, grid.size, _TILE_ROWS):
+            rows = grid[r0 : r0 + _TILE_ROWS]
+            lo = int(np.searchsorted(means, rows.min() - reach, side="left"))
+            hi = int(np.searchsorted(means, rows.max() + reach, side="right"))
+            if lo == hi:
+                continue  # every term is +0.0, and so is every row sum
+            size = rows.size * (hi - lo)
+            out = buf[0, :size].reshape(rows.size, hi - lo)
+            _gauss_tile(rows, means[lo:hi], sd, denom, out, buf[1, :size].reshape(out.shape))
+            part = tile[: rows.size]
+            part[:, order[lo:hi]] = out
+            acc[r0 : r0 + rows.size] += part.sum(axis=1)
+            part.fill(0.0)  # a memset, cheaper than scattering the zeros back
+    return acc
 
 
 def rb_marginal_mu(
@@ -337,7 +388,10 @@ def kde_2d(
 
     ``lims = (x_lo, x_hi, y_lo, y_hi)`` defaults to the data ranges and must
     be finite, as must each axis's span; density[i, j] is the estimate at
-    (x_grid[i], y_grid[j]).
+    (x_grid[i], y_grid[j]). The sum over samples adds one product of the
+    (n_grid, block) kernel matrices per _KDE_BLOCK block, in block order, so
+    memory is two such matrices, not two (n_grid, n) ones; a GEMM rounds by
+    its operands' shapes, so the block size fixes the density's last bits.
     """
     x = _chain_1d(x_samples)
     y = _chain_1d(y_samples)
@@ -357,8 +411,11 @@ def kde_2d(
             raise ValueError(f"density grid [{lo}, {hi}] overflows the float range")
     gx = np.linspace(lims[0], lims[1], n_grid)
     gy = np.linspace(lims[2], lims[3], n_grid)
-    # the product needs both whole kernel matrices: the GEMM's rounding depends on its operands' shapes
-    kx = _gauss_kernel(gx, x, bx, np.empty((n_grid, x.size)))
-    ky = _gauss_kernel(gy, y, by, np.empty((n_grid, y.size)))
-    dens = kx @ ky.T / x.size
+    dens = np.zeros((n_grid, n_grid))
+    bufs = np.empty((2, n_grid * _KDE_BLOCK))
+    for c0 in range(0, x.size, _KDE_BLOCK):
+        c1 = min(c0 + _KDE_BLOCK, x.size)
+        kx, ky = (b[: n_grid * (c1 - c0)].reshape(n_grid, c1 - c0) for b in bufs)
+        dens += _gauss_kernel(gx, x[c0:c1], bx, kx) @ _gauss_kernel(gy, y[c0:c1], by, ky).T
+    dens /= x.size
     return Kde2D(x=gx, y=gy, density=dens, bandwidth_x=bx, bandwidth_y=by)
