@@ -409,7 +409,10 @@ def run_stop(args) -> int:
     # validate up front so a bad config fails before any replicate runs
     config = StoppingConfig(epsilon=args.epsilon, level=args.level, step=args.step, pilot_n=args.pilot,
                             max_n=args.max_n)
-    Ar1Params(args.rho, args.tau)
+    source = Ar1Source(Ar1Params(args.rho, args.tau))
+    if args.target == "quantiles":
+        for p in args.probabilities:  # the covered column needs each true quantile; p = 1 has none
+            source.truth_quantile(p)
     write_manifest(args)
 
     reps = args.replications
@@ -500,6 +503,8 @@ def _probabilities(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"cannot parse probabilities from {text!r}") from None
     if not probs:
         raise argparse.ArgumentTypeError("need at least one probability")
+    if not all(0.0 < p <= 1.0 for p in probs):
+        raise argparse.ArgumentTypeError(f"probabilities must lie in (0, 1], got {text!r}")
     return probs
 
 

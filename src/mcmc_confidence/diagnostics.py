@@ -4,16 +4,15 @@ Every ``running_*`` function returns one record per prefix length
 k = 1..n, where record k depends only on the first k values and the last
 record matches the corresponding full-chain computation exactly. The
 standard-error sweeps group the prefixes by their sqroot batch size
-b = isqrt(k), which is constant for k in [b^2, (b+1)^2 - 1]. Each group
-computes its batch statistics once, on the group's longest prefix, scans
-their dispersion once, and finishes all its prefixes in one vectorised
-expression from the scan's rows: a prefix's row covers the first k // b
-block means, or the first k - b + 1 window means or window quantiles, the
-very values the estimator computes on it, so prefix consistency is exact.
-A group's window quantiles cost O(m log b) comparisons plus O(m b / 32)
-word operations on its longest prefix m, all in numpy (see ``mcse``); the
-rest of the group costs O(b^2), where re-reducing every prefix cost O(b^3). Standard errors are NaN for prefixes shorter than the
-estimators' minimum sample size.
+b = isqrt(k), which is constant for k in [b^2, (b+1)^2 - 1], and make one
+``mcse._prefix_sigma2`` call per group: the batch statistics of the group's
+longest prefix and one scan of their dispersion, of which each prefix reads
+the row the estimator itself reads, so prefix consistency is exact. A
+group's window quantiles cost O(m log b) comparisons plus O(m b / 32) word
+operations on its longest prefix m, all in numpy (see ``mcse``); the rest of
+the group costs O(b^2), where re-reducing every prefix cost O(b^3). Standard
+errors are NaN for prefixes shorter than the estimators' minimum sample
+size.
 
 The density estimators (kde_1d, kde_2d, rb_marginal_mu) share one Gaussian
 kernel core. It streams over blocks of 4096 samples and computes the kernel
@@ -46,14 +45,9 @@ from .mcse import (
     Transform,
     _apply_transform,
     _as_values,
-    _batch_means,
-    _prefix_sums,
+    _prefix_sigma2,
     _quantile_probs,
-    _sigma2,
-    _sum_sq_scan,
     _type1_index,
-    _window_means,
-    _window_quantiles,
 )
 
 __all__ = [
@@ -147,6 +141,15 @@ def running_quantiles(values, probabilities: Sequence[float]) -> np.ndarray:
     return out
 
 
+def _running_se(x: np.ndarray, kind: str, probabilities=()) -> np.ndarray:
+    # one column per statistic; NaN below MIN_SAMPLES
+    out = np.full((x.size, len(probabilities) or 1), np.nan)
+    for b, first, last in _sqroot_groups(x.size):
+        k = np.arange(first, last + 1)
+        out[first - 1 : last] = np.sqrt(_prefix_sigma2(x, b, kind, k, probabilities) / k[:, None])
+    return out
+
+
 def running_mcse(values, method: str = "BM", g: Transform = None) -> np.ndarray:
     """Standard error of the prefix mean for every prefix (sqroot batches).
 
@@ -157,30 +160,13 @@ def running_mcse(values, method: str = "BM", g: Transform = None) -> np.ndarray:
     meth = method.upper()
     if meth not in ("BM", "OBM"):
         raise ValueError(f"method specified invalid (meth={method})")
-    obm = meth == "OBM"
-    gx = _apply_transform(x, g)
-    cs = _prefix_sums(gx) if obm else None
-    out = np.full(x.size, np.nan)
-    for b, first, last in _sqroot_groups(x.size):
-        stats = _window_means(cs, b, last) if obm else _batch_means(gx, b, last // b)
-        k = np.arange(first, last + 1)
-        a = k - b + 1 if obm else k // b
-        ss = _sum_sq_scan(stats)[a - 1]
-        out[first - 1 : last] = np.sqrt(_sigma2(ss, b, a, k if obm else None) / k)
-    return out
+    return _running_se(_apply_transform(x, g), meth)[:, 0]
 
 
 def running_quantile_se(values, probabilities: Sequence[float]) -> np.ndarray:
     """Subsampling quantile standard errors per prefix; shape (n, k), NaN below
     the minimum sample size."""
-    x = _chain_1d(values)
-    probs = _quantile_probs(probabilities)
-    out = np.full((x.size, len(probs)), np.nan)
-    for b, first, last in _sqroot_groups(x.size):
-        k = np.arange(first, last + 1)[:, None]
-        ss = _sum_sq_scan(_window_quantiles(x[:last], b, probs))[first - b : last - b + 1]
-        out[first - 1 : last] = np.sqrt(_sigma2(ss, b, k - b + 1, k) / k)
-    return out
+    return _running_se(_chain_1d(values), "SUB", _quantile_probs(probabilities))
 
 
 def acf(values, max_lag: Optional[int] = None) -> np.ndarray:
@@ -241,6 +227,7 @@ def _gauss_tile(rows, mean, sd, denom, out, scratch) -> None:
     np.divide(out, denom, out=out)
 
 
+@np.errstate(over="ignore")  # z * z may overflow; _gauss_tile clamps it
 def _gauss_kernel(grid, mean, sd, matrix=None) -> np.ndarray:
     """Normal densities K[i, j] of N(mean[j], sd[j]^2) at every grid point i.
 
@@ -352,7 +339,8 @@ def silverman_bandwidth(values, factor: float = 0.9) -> float:
     x = _chain_1d(values)
     if x.size < 2:
         raise ValueError("bandwidth needs at least two samples")
-    sd = float(np.std(x, ddof=1))
+    with np.errstate(over="ignore"):  # an overflowing sd loses to the IQR or raises below
+        sd = float(np.std(x, ddof=1))
     q25, q75 = np.quantile(x, [0.25, 0.75])
     spread = min(sd, float(q75 - q25) / 1.34)
     if spread == 0.0:

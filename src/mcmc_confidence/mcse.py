@@ -11,9 +11,10 @@ built around:
 * subsampling for quantiles: the OBM recipe with the type-1 empirical
   quantile substituted for the window mean.
 
-All three share one core: a per-batch statistic (block means; window means
-from one sequential prefix sum; window quantiles), one prefix scan of their
-dispersion, ``_sum_sq_scan``, and one formula, ``_sigma2``.
+All three share one core, ``_prefix_sigma2``: the batch statistics of a
+chain (``_batch_stats``: block means; window means from one sequential
+prefix sum; window quantiles), one prefix scan of their dispersion,
+``_sum_sq_scan``, and the sigma2 formula of each kind.
 
 Window quantiles are exact order statistics read from bitsets. Every
 window that starts in block j, x[jb : (j+1)b], lies inside the pair
@@ -32,8 +33,8 @@ x.nbytes / 16 for the sqroot batch size.
 
 A prefix's batch statistics are the leading rows of the whole chain's, and
 row r of the O(a) scan depends only on rows 0..r, so one scan serves every
-prefix with the same batch size, bit for bit: a direct call reads its last
-row, the ``running_*`` sweeps in ``diagnostics`` one row per prefix.
+prefix with the same batch size, bit for bit: a direct call reads one row
+of it, the ``running_*`` sweeps in ``diagnostics`` one row per prefix.
 
 Every standard error is sqrt(sigma2 / n). Chains shorter than
 ``MIN_SAMPLES`` do not produce a number: estimators return ``None`` (the
@@ -210,88 +211,77 @@ def _sum_sq_scan(stats: np.ndarray) -> np.ndarray:
     return np.cumsum(d, axis=0, out=d)
 
 
-def _sigma2(ss, b: int, a, n=None):
-    """Long-run variance from S of a statistics: b * S / (a - 1) for BM blocks
-    (``n`` None), n * b * S / ((a - 1) * a) for OBM and subsampling windows.
-    ``a`` and ``n`` may be arrays, one entry per prefix."""
-    return b * ss / (a - 1) if n is None else n * b * ss / ((a - 1) * a)
-
-
 class _Layout(NamedTuple):
-    x: np.ndarray
-    n: int
+    # the fields McseEstimate and QuantileSeSet share
     b: int
     a: int
+    n: int
     warning: bool
 
 
-def _layout(values, policy: BatchPolicy, overlapping: bool) -> Optional[_Layout]:
-    """The checked chain and its batches, or None when n < MIN_SAMPLES.
+def _batch_count(k, b: int, kind: str):
+    # batches of a length-k prefix: non-overlapping blocks, or sliding windows
+    return k // b if kind == "BM" else k - b + 1
 
-    Overlapping windows number a = n - b + 1; non-overlapping blocks
-    n // b, of which there must be two.
-    """
-    x = _as_values(values)
-    n = x.size
+
+def _layout(n: int, policy: BatchPolicy, kind: str) -> Optional[_Layout]:
+    """The batches of a length-n chain, of which there must be two, or None
+    when n < MIN_SAMPLES."""
     if n < MIN_SAMPLES:
         return None
-    b, a = batch_layout(n, policy)
-    if overlapping:
-        if b >= n:
-            raise ValueError(f"batch size {b} must be smaller than the chain length {n}")
-        a = n - b + 1
-    elif a < 2:
+    b = batch_layout(n, policy)[0]
+    a = _batch_count(n, b, kind)
+    if a < 2:
         raise ValueError(f"batch size {b} leaves fewer than two batches for n={n}")
-    return _Layout(x, n, b, a, n < SMALL_SAMPLE_WARN)
+    return _Layout(b, a, n, n < SMALL_SAMPLE_WARN)
 
 
-def _mean_estimate(sigma2, lay: _Layout, method: str) -> McseEstimate:
-    sigma2 = float(sigma2)
-    return McseEstimate(
-        se=math.sqrt(sigma2 / lay.n),
-        sigma2_hat=sigma2,
-        b=lay.b,
-        a=lay.a,
-        n=lay.n,
-        method=method,
-        warning=lay.warning,
-    )
+def _batch_stats(x: np.ndarray, b: int, kind: str, n: int, probabilities=()) -> np.ndarray:
+    """Statistics of the length-b batches of x[:n], one row per batch: block
+    means ("BM") or window means ("OBM") in one column, or one window
+    quantile per probability ("SUB")."""
+    if kind == "SUB":
+        return _window_quantiles(x[:n], b, probabilities)
+    if kind == "BM":
+        return x[: n // b * b].reshape(-1, b).mean(axis=1, keepdims=True)
+    # cs[k] = x[0] + ... + x[k-1]; cumsum adds sequentially, so the sums of a
+    # prefix are a prefix of the sums
+    cs = np.concatenate(([0.0], np.cumsum(x[:n])))
+    return ((cs[b:] - cs[:-b]) / b)[:, None]
 
 
-def _batch_means(gx: np.ndarray, b: int, a: int) -> np.ndarray:
-    # means of the first a non-overlapping length-b blocks
-    return gx[: a * b].reshape(a, b).mean(axis=1)
+def _prefix_sigma2(x: np.ndarray, b: int, kind: str, ks: np.ndarray, probabilities=()) -> np.ndarray:
+    """sigma2 of every prefix x[:k], k in the ascending array ks, each holding
+    two or more batches of size b; one row per prefix, one column per statistic.
+
+    One scan of the longest prefix's statistics serves them all: prefix k,
+    with a = _batch_count(k, b, kind) batches, reads row a - 1 and takes
+    b * S / (a - 1) for BM blocks, k * b * S / ((a - 1) * a) for OBM and
+    subsampling windows.
+    """
+    a = _batch_count(ks, b, kind)
+    ss = _sum_sq_scan(_batch_stats(x, b, kind, ks[-1], probabilities))[a - 1]
+    k, a = ks[:, None], a[:, None]
+    return b * ss / (a - 1) if kind == "BM" else k * b * ss / ((a - 1) * a)
+
+
+def _mcse(values, policy: BatchPolicy, g: Transform, kind: str) -> Optional[McseEstimate]:
+    x = _as_values(values)
+    lay = _layout(x.size, policy, kind)
+    if lay is None:
+        return None
+    sigma2 = float(_prefix_sigma2(_apply_transform(x, g), lay.b, kind, np.array([lay.n]))[0, 0])
+    return McseEstimate(se=math.sqrt(sigma2 / lay.n), sigma2_hat=sigma2, method=kind, **lay._asdict())
 
 
 def mcse_bm(values, policy: BatchPolicy = "sqroot", g: Transform = None) -> Optional[McseEstimate]:
     """Batch-means standard error of mean(g(x)); None when n < MIN_SAMPLES."""
-    lay = _layout(values, policy, overlapping=False)
-    if lay is None:
-        return None
-    gx = _apply_transform(lay.x, g)
-    ss = _sum_sq_scan(_batch_means(gx, lay.b, lay.a))[-1]
-    return _mean_estimate(_sigma2(ss, lay.b, lay.a), lay, "BM")
-
-
-def _prefix_sums(gx: np.ndarray) -> np.ndarray:
-    # cs[k] = gx[0] + ... + gx[k-1]; cumsum adds sequentially, so the sums of
-    # a prefix are a prefix of the sums
-    return np.concatenate(([0.0], np.cumsum(gx)))
-
-
-def _window_means(cs: np.ndarray, b: int, n: int) -> np.ndarray:
-    # means of the n-b+1 length-b windows of the first n values: O(n)
-    return (cs[b : n + 1] - cs[: n + 1 - b]) / b
+    return _mcse(values, policy, g, "BM")
 
 
 def mcse_obm(values, policy: BatchPolicy = "sqroot", g: Transform = None) -> Optional[McseEstimate]:
     """Overlapping-batch-means standard error; None when n < MIN_SAMPLES."""
-    lay = _layout(values, policy, overlapping=True)
-    if lay is None:
-        return None
-    gx = _apply_transform(lay.x, g)
-    ss = _sum_sq_scan(_window_means(_prefix_sums(gx), lay.b, lay.n))[-1]
-    return _mean_estimate(_sigma2(ss, lay.b, lay.a, lay.n), lay, "OBM")
+    return _mcse(values, policy, g, "OBM")
 
 
 def _type1_index(n: int, p: float) -> int:
@@ -302,11 +292,7 @@ def _type1_index(n: int, p: float) -> int:
 
 def quantile_type1(values, p: float) -> float:
     """Inverse-empirical-CDF quantile: the ceil(n*p)-th order statistic."""
-    x = _as_values(values)
-    if x.size == 0:
-        raise ValueError("cannot take a quantile of an empty chain")
-    j = _type1_index(x.size, p)
-    return float(np.partition(x, j - 1)[j - 1])
+    return float(quantiles_type1(values, (p,))[0])
 
 
 def quantiles_type1(values, probabilities: Sequence[float]) -> np.ndarray:
@@ -405,21 +391,14 @@ def subsample_quantile_se(values, probabilities: Sequence[float] = (0.25, 0.75))
     the OBM dispersion formula applied to those per-window quantiles gives
     sigma2 and se per probability. Point estimates come from the full chain.
     """
-    lay = _layout(values, "sqroot", overlapping=True)
+    x = _as_values(values)
+    lay = _layout(x.size, "sqroot", "SUB")
     if lay is None:
         return None
     probs = _quantile_probs(probabilities)
-    ss = _sum_sq_scan(_window_quantiles(lay.x, lay.b, probs))[-1]
-    sigma2 = _sigma2(ss, lay.b, lay.a, lay.n)
-    return QuantileSeSet(
-        probabilities=probs,
-        point_estimates=quantiles_type1(lay.x, probs),
-        ses=np.sqrt(sigma2 / lay.n),
-        b=lay.b,
-        a=lay.a,
-        n=lay.n,
-        warning=lay.warning,
-    )
+    sigma2 = _prefix_sigma2(x, lay.b, "SUB", np.array([lay.n]), probs)[0]
+    return QuantileSeSet(probabilities=probs, point_estimates=quantiles_type1(x, probs),
+                         ses=np.sqrt(sigma2 / lay.n), **lay._asdict())
 
 
 def _t_interval(center: float, se: float, crit: float, **fields) -> Interval:
@@ -441,15 +420,12 @@ def ci_mean(
     """
     x = _as_values(values)
     meth = method.upper()
-    if meth == "BM":
-        est = mcse_bm(x, policy, g)
-    elif meth == "OBM":
-        est = mcse_obm(x, policy, g)
-    else:
+    if meth not in ("BM", "OBM"):
         raise ValueError(f"method specified invalid (meth={method})")
+    est = (mcse_bm if meth == "BM" else mcse_obm)(x, policy, g)
     if est is None:
         return None
-    df = est.a - 1 if meth == "BM" else est.n - est.b + 1
+    df = est.a - 1 if meth == "BM" else est.a
     center = float(np.mean(_apply_transform(x, g)))
     return _t_interval(center, est.se, t_quantile(level, df), df=df, level=level, method=meth, b=est.b, a=est.a)
 
@@ -470,7 +446,7 @@ def ci_quantiles(
         return None
     k = len(qset.probabilities)
     adj_level = 1.0 - (1.0 - level) / k if bonferroni else level
-    df = qset.n - qset.b + 1
+    df = qset.a
     crit = t_quantile(adj_level, df)
     return [
         _t_interval(float(q), float(se), crit, df=df, level=adj_level, method="SUB", b=qset.b, a=qset.a,

@@ -41,8 +41,8 @@ class Ar1Params:
     def __post_init__(self):
         if not abs(self.rho) < 1.0:
             raise ValueError(f"need |rho| < 1 for stationarity, got {self.rho}")
-        if self.tau <= 0.0:
-            raise ValueError(f"innovation sd tau must be positive, got {self.tau}")
+        if not 0.0 < self.tau < math.inf:
+            raise ValueError(f"innovation sd tau must be positive and finite, got {self.tau}")
 
     @property
     def stationary_sd(self) -> float:

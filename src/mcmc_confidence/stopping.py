@@ -38,7 +38,7 @@ class StoppingConfig:
     max_n: int = 200_000
 
     def __post_init__(self):
-        if self.epsilon <= 0.0:
+        if not self.epsilon > 0.0:
             raise ValueError(f"target half-width epsilon must be positive, got {self.epsilon}")
         if not 0.0 < self.level < 1.0:
             raise ValueError(f"level must lie in (0, 1), got {self.level}")

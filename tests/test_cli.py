@@ -391,6 +391,22 @@ def test_gibbs_normal_rejects_non_finite_statistics(tmp_path, capsys, flag, toke
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [["ar1", "--n", 50], ["stop"]])
+@pytest.mark.parametrize("token", ["nan", "inf"])
+def test_non_finite_tau_writes_nothing(tmp_path, capsys, argv, token):
+    out = tmp_path / "t"
+    assert run_cli(argv + [f"--tau={token}", "--out", out]) == 2
+    assert "tau" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_stop_quantile_without_a_true_value_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "q"
+    assert run_cli(["stop", "--target", "quantiles", "--probabilities", "0.5,1", "--out", out]) == 2
+    assert "probability" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_every_csv_artifact_goes_through_write_csv(tmp_path, monkeypatch):
     # the benchmark's write counter wraps cli.write_csv by name and reads its path argument
     from mcmc_confidence import cli
@@ -495,6 +511,10 @@ def test_bad_seed_is_a_usage_error(tmp_path, capsys, command, seed):
         (["mcse", "--batch", "nan"], "--batch"),
         (["stop", "--step", 0], "--step"),
         (["stop", "--pilot", 5], "--pilot"),
+        (["ar1", "--n", 50, "--probabilities", "0,0.5"], "--probabilities"),
+        (["ar1", "--probabilities", "0.5,nan"], "--probabilities"),
+        (["stop", "--probabilities", "-0.25"], "--probabilities"),
+        (["mcse", "--probabilities", "1.5"], "--probabilities"),
     ],
 )
 def test_bad_batch_step_or_pilot_is_a_usage_error(tmp_path, capsys, argv, flag):

@@ -1,8 +1,8 @@
 """Accuracy of the dispersion scan behind every windowed estimator.
 
 ``mcse._sum_sq_scan`` gets the sum of squared deviations S of every leading
-block of per-batch statistics from one Welford scan on the statistics
-shifted by their first row. These tests hold each row of it, and the
+block of per-batch statistics (``mcse._batch_stats``) from one Welford scan
+on the statistics shifted by their first row. These tests hold each row of it, and the
 estimators built on it, to an exact oracle on the very statistics each
 estimator builds, over chains chosen to stress a one-pass dispersion:
 burn-in transients, linear trends, 1e8 offsets, ties and long constant runs
@@ -26,16 +26,7 @@ from mcmc_confidence import (
     running_quantile_se,
     subsample_quantile_se,
 )
-from mcmc_confidence.mcse import (
-    MIN_SAMPLES,
-    _batch_means,
-    _prefix_sums,
-    _running_means,
-    _sum_sq_scan,
-    _window_means,
-    _window_quantiles,
-    batch_layout,
-)
+from mcmc_confidence.mcse import MIN_SAMPLES, _batch_stats, _running_means, _sum_sq_scan, batch_layout
 
 REL = 1e-12
 
@@ -91,16 +82,17 @@ def stressed_chains(draw):
 
 
 def estimator_stats(x, policy, probs):
-    """(name, b, statistics) for each estimator's dispersion on chain x."""
+    """(name, b, statistics) for each estimator's dispersion on chain x; one
+    column per statistic."""
     n = x.size
     b, a = batch_layout(n, policy)
     out = []
     if a >= 2:
-        out.append(("bm", b, _batch_means(x, b, a)))
+        out.append(("bm", b, _batch_stats(x, b, "BM", n)))
     if b < n:
-        out.append(("obm", b, _window_means(_prefix_sums(x), b, n)))
+        out.append(("obm", b, _batch_stats(x, b, "OBM", n)))
     bq = math.isqrt(n)
-    out.append(("sub", bq, _window_quantiles(x, bq, probs)))
+    out.append(("sub", bq, _batch_stats(x, bq, "SUB", n, probs)))
     return out
 
 
@@ -130,10 +122,8 @@ def test_scan_rows_match_exact_oracle(x, policy, probs, data):
         a = len(stats)
         rows = {0, 1, a - 1} | set(data.draw(st.lists(st.integers(0, a - 1), max_size=4), label=name))
         for r in sorted(rows):
-            for j in range(stats.shape[1] if stats.ndim == 2 else 1):
-                column = stats[: r + 1, j] if stats.ndim == 2 else stats[: r + 1]
-                got = scan[r, j] if stats.ndim == 2 else scan[r]
-                assert_close(float(got), exact_ss(column))
+            for j in range(stats.shape[1]):
+                assert_close(float(scan[r, j]), exact_ss(stats[: r + 1, j]))
 
 
 @given(x=stressed_chains(), policy=policies, probs=probabilities)
@@ -142,10 +132,10 @@ def test_estimators_match_exact_oracle(x, policy, probs):
     for name, b, stats in estimator_stats(x, policy, probs):
         if name == "bm":
             a = len(stats)
-            assert_close(mcse_bm(x, policy).sigma2_hat, b * exact_ss(stats) / (a - 1))
+            assert_close(mcse_bm(x, policy).sigma2_hat, b * exact_ss(stats[:, 0]) / (a - 1))
         elif name == "obm":
             a = len(stats)
-            assert_close(mcse_obm(x, policy).sigma2_hat, n * b * exact_ss(stats) / ((a - 1) * a))
+            assert_close(mcse_obm(x, policy).sigma2_hat, n * b * exact_ss(stats[:, 0]) / ((a - 1) * a))
         else:
             a = n - b + 1
             ses = subsample_quantile_se(x, probs).ses

@@ -7,6 +7,7 @@ reach equal the full tiles' bit for bit at the edges of the reach."""
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -120,6 +121,16 @@ def test_overflowing_exponent_gives_zero_terms():
     est = kde_1d(x, n_grid=9)
     assert np.all(np.isfinite(est.density))
     assert same_bits(est.density, reference_sums(est.x, x, est.bandwidth) / x.size)
+
+
+def test_far_outlier_raises_no_floating_point_warning():
+    # z * z and the sd's squares overflow on purpose; the densities stay finite
+    x, y = Rng(11).normals(5000), Rng(12).normals(5000)
+    x[17] = 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.all(np.isfinite(kde_1d(x, n_grid=64).density))
+        assert np.all(np.isfinite(kde_2d(x, y, n_grid=8).density))
 
 
 def ulps_about(v, k=3):

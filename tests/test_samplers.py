@@ -63,6 +63,12 @@ def test_ar1_params_validation():
     assert Ar1Params(0.5).stationary_sd == pytest.approx(math.sqrt(4.0 / 3.0))
 
 
+@pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf, -1.0])
+def test_ar1_params_reject_non_finite_or_negative_tau(tau):
+    with pytest.raises(ValueError, match="tau"):
+        Ar1Params(0.5, tau)
+
+
 # one AR(1) step is the second state of a two-state run
 
 

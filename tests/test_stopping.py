@@ -23,6 +23,8 @@ def make_source(rho, tau=1.0):
 def test_config_validation():
     with pytest.raises(ValueError):
         StoppingConfig(epsilon=0.0)
+    with pytest.raises(ValueError, match="epsilon"):
+        StoppingConfig(epsilon=math.nan)
     with pytest.raises(ValueError):
         StoppingConfig(level=1.0)
     with pytest.raises(ValueError):

@@ -1,6 +1,6 @@
 """Property tests for the shared window core: the exact bitset window
-quantiles, the per-batch-size reuse in the running sweeps, and non-finite
-rejection."""
+quantiles, the prefix sigma2 core behind the direct estimators and the
+running sweeps, and non-finite rejection."""
 
 import math
 import tracemalloc
@@ -26,15 +26,7 @@ from mcmc_confidence import (
     subsample_quantile_se,
 )
 from mcmc_confidence import mcse
-from mcmc_confidence.mcse import (
-    MIN_SAMPLES,
-    _batch_means,
-    _prefix_sums,
-    _sigma2,
-    _sum_sq_scan,
-    _window_means,
-    _window_quantiles,
-)
+from mcmc_confidence.mcse import MIN_SAMPLES, _batch_stats, _prefix_sigma2, _window_quantiles
 
 TINY = float(np.nextafter(0.0, 1.0))
 
@@ -155,17 +147,53 @@ def test_fixed_batch_prefixes_with_fewer_batches_than_batch_size_read_one_scan(s
     # a < b: BM prefixes of length 2b..b^2-1, OBM prefixes of length b+1..2b-2
     n = b * b - 1
     x = np.round(Rng(seed).normals(n), 1) + 100.0
-    bm_scan = _sum_sq_scan(_batch_means(x, b, n // b))
-    obm_scan = _sum_sq_scan(_window_means(_prefix_sums(x), b, 2 * b - 2))
-    for k in range(max(MIN_SAMPLES, b + 1), n + 1):
-        if k >= 2 * b:
-            est = mcse_bm(x[:k], b)
-            assert est.a < est.b
-            assert est.sigma2_hat == _sigma2(bm_scan[est.a - 1], b, est.a)
-        if k <= 2 * b - 2:
-            est = mcse_obm(x[:k], b)
-            assert est.a < est.b
-            assert est.sigma2_hat == _sigma2(obm_scan[est.a - 1], b, est.a, k)
+    bm_ks = np.arange(2 * b, n + 1)
+    obm_ks = np.arange(max(MIN_SAMPLES, b + 1), 2 * b - 1)
+    for k, row in zip(bm_ks, _prefix_sigma2(x, b, "BM", bm_ks)):
+        est = mcse_bm(x[:k], b)
+        assert est.a < est.b
+        assert est.sigma2_hat == row[0]
+    for k, row in zip(obm_ks, _prefix_sigma2(x, b, "OBM", obm_ks)):
+        est = mcse_obm(x[:k], b)
+        assert est.a < est.b
+        assert est.sigma2_hat == row[0]
+
+
+@given(seed=st.integers(0, 10_000), b=st.integers(3, 20), data=st.data())
+def test_prefix_sigma2_rows_equal_direct_estimates_on_any_prefixes(seed, b, data):
+    # ascending, gapped prefix lengths with one batch size: BM from the
+    # fewest batches (a < b), OBM, and SUB within b's sqroot group
+    n = (b + 1) ** 2 - 1
+    x = np.round(Rng(seed).normals(n), 1) + 100.0
+
+    def prefixes(low, label):
+        ks = data.draw(st.sets(st.integers(low, n), max_size=8), label=label) | {low}
+        return np.array(sorted(ks))
+
+    bm_ks = prefixes(max(MIN_SAMPLES, 2 * b), "BM")
+    for k, row in zip(bm_ks, _prefix_sigma2(x, b, "BM", bm_ks)):
+        assert mcse_bm(x[:k], b).sigma2_hat == row[0]
+    obm_ks = prefixes(max(MIN_SAMPLES, b + 1), "OBM")
+    for k, row in zip(obm_ks, _prefix_sigma2(x, b, "OBM", obm_ks)):
+        assert mcse_obm(x[:k], b).sigma2_hat == row[0]
+    probs = (TINY, 0.25, 0.5, 1.0)
+    sub_ks = prefixes(max(MIN_SAMPLES, b * b), "SUB")
+    for k, row in zip(sub_ks, _prefix_sigma2(x, b, "SUB", sub_ks, probs)):
+        assert subsample_quantile_se(x[:k], probs).ses.tobytes() == np.sqrt(row / k).tobytes()
+
+
+@given(seed=st.integers(0, 10_000), b=st.integers(2, 12), cut=st.integers(0, 40))
+def test_batch_stats_of_a_prefix_are_the_leading_rows(seed, b, cut):
+    x = np.round(Rng(seed).normals(3 * b + 40), 1)
+    n = x.size - cut
+    probs = (0.25, 1.0)
+    for kind, a in (("BM", n // b), ("OBM", n - b + 1), ("SUB", n - b + 1)):
+        whole, prefix = _batch_stats(x, b, kind, x.size, probs), _batch_stats(x, b, kind, n, probs)
+        assert prefix.shape == (a, 2 if kind == "SUB" else 1)
+        assert prefix.tobytes() == whole[:a].tobytes()
+    windows = np.lib.stride_tricks.sliding_window_view(x[:n], b)
+    assert np.allclose(_batch_stats(x, b, "BM", n)[:, 0], windows[::b].mean(axis=1), rtol=0, atol=1e-12)
+    assert np.allclose(_batch_stats(x, b, "OBM", n)[:, 0], windows.mean(axis=1), rtol=0, atol=1e-12)
 
 
 # non-finite input -------------------------------------------------------------
