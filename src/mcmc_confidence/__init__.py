@@ -39,7 +39,6 @@ from .mcse import (
     ci_quantiles,
     mcse_bm,
     mcse_obm,
-    quantile_type1,
     quantiles_type1,
     subsample_quantile_se,
 )

@@ -1,12 +1,16 @@
 """Command-line front end: every experiment becomes deterministic CSV output.
 
-Each run writes its artifacts plus a ``manifest.txt`` holding the fully
-resolved flag set, derived from the parsed namespace (``write_manifest``);
-replaying the manifest (``argv_from_manifest``) reproduces every CSV byte
+Each subcommand computes its whole result and returns its artifacts, an
+ordered mapping of file name to ``(header, columns)`` or to report text.
+Only then does ``main`` create ``--out`` and write a ``manifest.txt`` holding
+the fully resolved flag set, derived from the parsed namespace
+(``write_manifest``), followed by each artifact. So a data error (exit 2)
+writes nothing, and an I/O error (exit 3) may leave the files written before
+it. Replaying the manifest (``argv_from_manifest``) reproduces every CSV byte
 for byte. The parser validates what it can (counts, seeds, probabilities,
-batch sizes) before any input is read or any file is written. Numbers are
-serialized with 10 significant digits, missing values as the literal token
-"NA", lines end with LF.
+batch sizes) before any input is read. Numbers are serialized with 10
+significant digits, missing values as the literal token "NA", lines end
+with LF.
 
 CSV is written a column at a time: ``write_csv`` takes one 1-D array per
 column and formats each in one pass chosen by its dtype (floats, integers;
@@ -172,17 +176,12 @@ def argv_from_manifest(path: str, out: Optional[str] = None) -> list[str]:
 # subcommands ----------------------------------------------------------------
 
 
-def run_ar1(args) -> int:
-    params = Ar1Params(args.rho, args.tau)
+def run_ar1(args) -> dict:
     probs = args.probabilities
-    out = args.out
-    write_manifest(args)
-    chain = ar1_run(args.n, params, Rng(args.seed))
-    x = chain.values
+    x = ar1_run(args.n, Ar1Params(args.rho, args.tau), Rng(args.seed)).values
     n = x.size
 
     iters = np.arange(1, n + 1)
-    write_csv(os.path.join(out, "chain.csv"), ["iter", "value"], [iters, x])
 
     means = running_mean(x)
     se_bm = running_mcse(x, "BM")
@@ -201,73 +200,65 @@ def run_ar1(args) -> int:
         + [f"se_q_{p:g}" for p in probs]
         + ["mean_lcl_obm", "mean_ucl_obm"]
     )
-    write_csv(
-        os.path.join(out, "running.csv"),
-        header,
-        [iters, means, se_bm, se_obm, *qs.T, *q_ses.T, lcl, ucl],
-    )
 
     try:
         rs = acf(x)
         acf_columns = [np.arange(rs.size), rs]
     except ValueError:
         acf_columns = [[0], [None]]
-    write_csv(os.path.join(out, "acf.csv"), ["lag", "r"], acf_columns)
-    return EXIT_OK
+    return {
+        "chain.csv": (["iter", "value"], [iters, x]),
+        "running.csv": (header, [iters, means, se_bm, se_obm, *qs.T, *q_ses.T, lcl, ucl]),
+        "acf.csv": (["lag", "r"], acf_columns),
+    }
 
 
-def run_tda(args) -> int:
-    out = args.out
-    write_manifest(args)
+def run_tda(args) -> dict:
     chain = tda_run(args.n, Rng(args.seed))
     x = chain.values[:, 0]
     y = chain.values[:, 1]
     n = x.size
 
     iters = np.arange(1, n + 1)
-    write_csv(os.path.join(out, "chain.csv"), ["iter", "x", "y"], [iters, x, y])
-
     x_mean = running_mean(x)
     x2_mean = running_mean(np.square(x))
     rb_mean = rb_second_moment(y)
     se_x = running_mcse(x, "OBM")
     se_x2 = running_mcse(x, "OBM", g=np.square)
     se_rb = running_mcse(1.0 / y, "OBM")
-    write_csv(
-        os.path.join(out, "moments.csv"),
-        ["iter", "x_mean", "x2_mean", "rb_mean", "se_obm_x", "se_obm_x2", "se_obm_rb"],
-        [iters, x_mean, x2_mean, rb_mean, se_x, se_x2, se_rb],
-    )
-    return EXIT_OK
+    return {
+        "chain.csv": (["iter", "x", "y"], [iters, x, y]),
+        "moments.csv": (
+            ["iter", "x_mean", "x2_mean", "rb_mean", "se_obm_x", "se_obm_x2", "se_obm_rb"],
+            [iters, x_mean, x2_mean, rb_mean, se_x, se_x2, se_rb],
+        ),
+    }
 
 
-def run_gibbs_normal(args) -> int:
+def run_gibbs_normal(args) -> dict:
     params = NormalPosteriorParams(args.m, args.y_bar, args.s2)
-    out = args.out
-    write_manifest(args)
     chain = nv_gibbs_run(args.n, params, Rng(args.seed))
     mu = chain.values[:, 0]
     theta = chain.values[:, 1]
     n = mu.size
 
-    write_csv(os.path.join(out, "chain.csv"), ["iter", "mu", "theta"], [np.arange(1, n + 1), mu, theta])
+    artifacts = {"chain.csv": (["iter", "mu", "theta"], [np.arange(1, n + 1), mu, theta])}
 
     for name, series in (("kde_mu.csv", mu), ("kde_theta.csv", theta)):
         est = kde_1d(series)
-        write_csv(os.path.join(out, name), ["x", "density"], [est.x, est.density])
+        artifacts[name] = (["x", "density"], [est.x, est.density])
 
     k2 = kde_2d(mu, theta, n_grid=50, lims=_KDE2D_LIMS)
     # row (x[i], y[j]) for i outer, j inner: density's C order
-    write_csv(
-        os.path.join(out, "kde2d.csv"),
+    artifacts["kde2d.csv"] = (
         ["x", "y", "density"],
         [np.repeat(k2.x, k2.y.size), np.tile(k2.y, k2.x.size), k2.density.reshape(-1)],
     )
 
     grid = np.linspace(_RB_GRID[0], _RB_GRID[1], _RB_GRID[2])
     rb = rb_marginal_mu(theta, grid, params.m, params.y_bar, variant=args.rb_variant)
-    write_csv(os.path.join(out, "rb_mu.csv"), ["x", "density"], [rb.x, rb.density])
-    return EXIT_OK
+    artifacts["rb_mu.csv"] = (["x", "density"], [rb.x, rb.density])
+    return artifacts
 
 
 def _first_field(line: str) -> str:
@@ -334,11 +325,12 @@ def _read_single_column(path: str) -> np.ndarray:
     return values if np.isfinite(values).all() else _read_lines(path)
 
 
-def run_mcse(args) -> int:
+def run_mcse(args) -> Optional[dict]:
+    """Print the report and return it as ``report.txt``; None when the input is too short."""
     values = _read_single_column(args.input)
     if values.size < MIN_SAMPLES:
         print(f"insufficient samples: need at least {MIN_SAMPLES}, got {values.size}", file=sys.stderr)
-        return EXIT_DATA
+        return None
 
     lines: list[str] = [f"n={values.size}"]
     if args.probabilities is not None:
@@ -379,11 +371,7 @@ def run_mcse(args) -> int:
 
     report = "\n".join(lines) + "\n"
     sys.stdout.write(report)
-    if args.out is not None:
-        write_manifest(args)
-        with open(os.path.join(args.out, "report.txt"), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(report)
-    return EXIT_OK
+    return {"report.txt": report}
 
 
 def _stop_replicate(args, config: StoppingConfig, index: int) -> list[tuple]:
@@ -403,7 +391,7 @@ def _stop_replicate(args, config: StoppingConfig, index: int) -> list[tuple]:
     ]
 
 
-def run_stop(args) -> int:
+def run_stop(args) -> dict:
     if args.step is None:
         args.step = 1000 if args.target == "mean" else 2000
     # validate up front so a bad config fails before any replicate runs
@@ -413,7 +401,6 @@ def run_stop(args) -> int:
     if args.target == "quantiles":
         for p in args.probabilities:  # the covered column needs each true quantile; p = 1 has none
             source.truth_quantile(p)
-    write_manifest(args)
 
     reps = args.replications
     replicate = functools.partial(_stop_replicate, args, config)
@@ -431,7 +418,7 @@ def run_stop(args) -> int:
     columns = list(zip(*(row for rows in results for row in rows)))
     if args.target == "mean":
         del header[1], columns[1]
-    write_csv(os.path.join(args.out, "results.csv"), header, columns)
+    artifacts = {"results.csv": (header, columns)}
 
     if reps > 1:
         terminal = np.array([rows[0][2] for rows in results], dtype=float)
@@ -446,8 +433,8 @@ def run_stop(args) -> int:
             "terminal_n_q75": int(t_q[2]),
             "terminal_n_max": int(terminal.max()),
         }
-        write_csv(os.path.join(args.out, "summary.csv"), list(summary), [[v] for v in summary.values()])
-    return EXIT_OK
+        artifacts["summary.csv"] = (list(summary), [[v] for v in summary.values()])
+    return artifacts
 
 
 # parser ---------------------------------------------------------------------
@@ -581,13 +568,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        artifacts = args.func(args)
+        if artifacts is None:  # refused its input, and said why
+            return EXIT_DATA
+        if args.out is not None:
+            write_manifest(args)
+            for name, artifact in artifacts.items():
+                path = os.path.join(args.out, name)
+                if isinstance(artifact, str):
+                    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                        fh.write(artifact)
+                else:
+                    write_csv(path, *artifact)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
+    return EXIT_OK
 
 
 def console() -> None:

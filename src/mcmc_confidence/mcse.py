@@ -64,7 +64,6 @@ __all__ = [
     "batch_layout",
     "mcse_bm",
     "mcse_obm",
-    "quantile_type1",
     "quantiles_type1",
     "subsample_quantile_se",
     "ci_mean",
@@ -290,13 +289,9 @@ def _type1_index(n: int, p: float) -> int:
     return max(1, math.ceil(n * p))
 
 
-def quantile_type1(values, p: float) -> float:
-    """Inverse-empirical-CDF quantile: the ceil(n*p)-th order statistic."""
-    return float(quantiles_type1(values, (p,))[0])
-
-
 def quantiles_type1(values, probabilities: Sequence[float]) -> np.ndarray:
-    """Type-1 quantiles at several probabilities, sharing one sort."""
+    """Inverse-empirical-CDF quantiles: the ceil(n*p)-th order statistic for
+    each probability p, sharing one sort."""
     x = _as_values(values)
     if x.size == 0:
         raise ValueError("cannot take a quantile of an empty chain")

@@ -64,8 +64,3 @@ class Rng:
         if sd <= 0.0:
             raise ValueError(f"normal draw needs sd > 0, got {sd}")
         return self._gen.normal(mean, sd, size=int(n))
-
-    def gammas(self, n: int, shape: float, rate: float) -> np.ndarray:
-        if shape <= 0.0 or rate <= 0.0:
-            raise ValueError(f"gamma draw needs shape > 0 and rate > 0, got ({shape}, {rate})")
-        return self._gen.gamma(shape, 1.0 / rate, size=int(n))

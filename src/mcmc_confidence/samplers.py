@@ -2,16 +2,15 @@
 targeting the 4-df Student t, and a two-block Gibbs sampler for a normal
 mean/variance posterior.
 
-Chains carry their provenance (sampler id, parameters, seed) and are
-append-only: extending a chain never mutates the prefix, so running
-estimates computed on a prefix stay valid after more samples arrive.
+Chains are append-only: extending a chain never mutates the prefix, so
+running estimates computed on a prefix stay valid after more samples arrive.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,16 +72,13 @@ class TdaState(NamedTuple):
 
 @dataclass(frozen=True)
 class Chain:
-    """Ordered sampler output plus provenance.
+    """Ordered sampler output.
 
     ``values`` is (n,) for scalar chains and (n, 2) for paired ones; the
     pairing of components is never broken up.
     """
 
     values: np.ndarray
-    sampler: str
-    params: dict = field(default_factory=dict)
-    seed: Optional[int] = None
 
     def __post_init__(self):
         if len(self.values) < 1:
@@ -109,12 +105,7 @@ def ar1_run(n: int, params: Ar1Params, rng: Rng, x0: float = 1.0) -> Chain:
     if n < 1:
         raise ValueError(f"chain length must be positive, got {n}")
     eps = rng.normals(n - 1, 0.0, params.tau)
-    return Chain(
-        values=_ar1_recur(x0, params.rho, eps),
-        sampler="ar1",
-        params={"rho": params.rho, "tau": params.tau, "x0": x0},
-        seed=rng.seed,
-    )
+    return Chain(_ar1_recur(x0, params.rho, eps))
 
 
 def ar1_extend(chain: Chain, p: int, params: Ar1Params, rng: Rng) -> Chain:
@@ -123,12 +114,7 @@ def ar1_extend(chain: Chain, p: int, params: Ar1Params, rng: Rng) -> Chain:
         raise ValueError(f"extension length must be positive, got {p}")
     eps = rng.normals(p, 0.0, params.tau)
     tail = _ar1_recur(float(chain.values[-1]), params.rho, eps)[1:]
-    return Chain(
-        values=np.concatenate((chain.values, tail)),
-        sampler=chain.sampler,
-        params=chain.params,
-        seed=chain.seed,
-    )
+    return Chain(np.concatenate((chain.values, tail)))
 
 
 class Ar1Source:
@@ -172,7 +158,7 @@ def tda_run(n: int, rng: Rng, init: TdaState = TdaState(1.0, 1.0)) -> Chain:
         y = gamma(2.5, 2.0 + 0.5 * x * x)
         out[i, 0] = x
         out[i, 1] = y
-    return Chain(values=out, sampler="tda", params={"init": (init.x, init.y)}, seed=rng.seed)
+    return Chain(out)
 
 
 # Gibbs sampler for the normal mean/variance posterior ----------------------
@@ -213,9 +199,4 @@ def nv_gibbs_run(
         mu, theta = nv_gibbs_step((mu, theta), params, rng)
         out[i, 0] = mu
         out[i, 1] = theta
-    return Chain(
-        values=out,
-        sampler="normal-gibbs",
-        params={"m": params.m, "y_bar": params.y_bar, "s2": params.s2},
-        seed=rng.seed,
-    )
+    return Chain(out)

@@ -23,7 +23,7 @@ from mcmc_confidence import (
     mcse_obm,
     nv_gibbs_run,
     NormalPosteriorParams,
-    quantile_type1,
+    quantiles_type1,
     subsample_quantile_se,
     t_cdf,
     t_quantile,
@@ -42,8 +42,7 @@ def test_01_estimator_oracles():
     bm = mcse_bm(x16, 4).se
     obm = mcse_obm(x16, 4).se
     sub = float(subsample_quantile_se(x16, (0.5,)).ses[0])
-    q25 = quantile_type1(np.arange(1.0, 11.0), 0.25)
-    q75 = quantile_type1(np.arange(1.0, 11.0), 0.75)
+    q25, q75 = quantiles_type1(np.arange(1.0, 11.0), (0.25, 0.75))
 
     bm_expect = math.sqrt(320.0 / 3.0 / 16.0)
     obm_expect = math.sqrt(16.0 * 4.0 * 182.0 / (12.0 * 13.0) / 16.0)
@@ -120,7 +119,7 @@ def test_05_fixed_width_stopping():
         terminals.append(res.terminal_n)
         halves.append(res.half_width)
         covers.append(abs(float(res.estimates[0])) <= res.half_width)
-    median_n = quantile_type1(np.array(terminals, dtype=float), 0.5)
+    median_n = quantiles_type1(np.array(terminals, dtype=float), (0.5,))[0]
     cover_rate = sum(covers) / len(covers)
     ok = (
         all(h <= 0.1 for h in halves)

@@ -1,3 +1,4 @@
+import errno
 import inspect
 import math
 import os
@@ -5,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from mcmc_confidence import Rng
 from mcmc_confidence.cli import argv_from_manifest, main
 
 
@@ -80,6 +82,38 @@ def test_ar1_deterministic_and_replayable(tmp_path):
     assert run_cli(replay) == 0
     for name in ("chain.csv", "running.csv", "acf.csv"):
         assert read_bytes(a / name) == read_bytes(c / name)
+
+
+def _replay_content(path):
+    # a replay writes elsewhere, so the manifest's out= line is the one that may differ
+    lines = read_bytes(path).splitlines(keepends=True)
+    return b"".join(line for line in lines if not (path.name == "manifest.txt" and line.startswith(b"out=")))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tda", "--n", 150, "--seed", 100],
+        ["gibbs-normal", "--n", 300, "--seed", 100],
+        ["gibbs-normal", "--n", 300, "--seed", 100, "--rb-variant", "mixture"],
+        ["mcse", "--method", "obm", "--probabilities", "0.5"],
+        ["stop", "--target", "mean", "--rho", 0.5, "--replications", 2, "--seed", 5],
+    ],
+    ids=["tda", "gibbs-normal-plugin", "gibbs-normal-mixture", "mcse", "stop-mean"],
+)
+def test_manifest_replay_rewrites_every_file(tmp_path, argv):
+    a, b = tmp_path / "a", tmp_path / "b"
+    if argv[0] == "mcse":
+        chain = tmp_path / "chain.csv"
+        chain.write_text("".join(f"{v!r}\n" for v in Rng(3).normals(500).tolist()))
+        argv = argv + ["--input", chain]
+    assert run_cli(argv + ["--out", a]) == 0
+    assert run_cli(argv_from_manifest(a / "manifest.txt", out=str(b))) == 0
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
+    assert len(names) > 1
+    for name in names:
+        assert _replay_content(a / name) == _replay_content(b / name), name
 
 
 def test_tda_outputs(tmp_path):
@@ -297,10 +331,27 @@ def test_usage_errors_exit_one():
     assert exc.value.code == 1
 
 
-def test_domain_errors_exit_two(tmp_path):
-    assert run_cli(["ar1", "--rho", 1.5, "--out", tmp_path / "x"]) == 2
-    assert run_cli(["gibbs-normal", "--m", 2, "--out", tmp_path / "y"]) == 2
-    assert run_cli(["stop", "--epsilon", -1, "--out", tmp_path / "z"]) == 2
+def test_domain_errors_exit_two(tmp_path, capsys):
+    # a data error writes nothing, wherever in the run it is found
+    bad = tmp_path / "bad.csv"
+    bad.write_text("value\n1\nx\n")
+    overflow = (errno.ERANGE, os.strerror(errno.ERANGE))
+    cases = [
+        (["ar1", "--rho", 1.5], "need |rho| < 1 for stationarity, got 1.5"),
+        (["gibbs-normal", "--m", 2], "sample size m must be at least 3, got 2"),
+        (["stop", "--epsilon", -1], "target half-width epsilon must be positive, got -1.0"),
+        (["stop", "--epsilon", "nan"], "target half-width epsilon must be positive, got nan"),
+        (["gibbs-normal", "--n", 1], "density estimation needs at least two samples"),
+        (["gibbs-normal", "--n", 3, "--s2", 1e-300], "sample is constant; kernel bandwidth would be zero"),
+        (["ar1", "--n", 50, "--rho", 0.9, "--tau", 1e308], "chain holds a non-finite value (inf) at index 8"),
+        (["gibbs-normal", "--n", 50, "--y-bar", 1e300], str(overflow)),
+        (["mcse", "--input", bad], f"{bad}:3: cannot parse 'x' as a number"),
+    ]
+    for k, (argv, message) in enumerate(cases):
+        out = tmp_path / str(k)
+        assert run_cli(argv + ["--out", out]) == 2, argv
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists(), argv
 
 
 def test_io_errors_exit_three(tmp_path):

@@ -13,7 +13,6 @@ from mcmc_confidence import (
     ci_quantiles,
     mcse_bm,
     mcse_obm,
-    quantile_type1,
     quantiles_type1,
     subsample_quantile_se,
 )
@@ -225,36 +224,34 @@ def test_bm_obm_agree_for_long_iid_chains():
 
 
 def test_quantile_type1_examples():
-    assert quantile_type1(X10, 0.25) == 3.0
-    assert quantile_type1(X10, 0.75) == 8.0
-    assert quantile_type1(X10, 1.0) == 10.0
+    assert quantiles_type1(X10, (0.25, 0.75, 1.0)).tolist() == [3.0, 8.0, 10.0]
     shuffled = np.array([7.0, 1.0, 5.0, 3.0, 9.0, 2.0])
-    assert quantile_type1(shuffled, 1.0) == 9.0
+    assert quantiles_type1(shuffled, (1.0,))[0] == 9.0
 
 
 def test_quantile_type1_errors():
     with pytest.raises(ValueError):
-        quantile_type1(np.array([]), 0.5)
+        quantiles_type1(np.array([]), (0.5,))
     for bad in (0.0, -0.5, 1.01):
         with pytest.raises(ValueError):
-            quantile_type1(X10, bad)
+            quantiles_type1(X10, (bad,))
 
 
 @given(vals=st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=50))
 def test_quantile_type1_membership_and_monotonicity(vals):
     x = np.array(vals)
     probs = [0.05, 0.25, 0.5, 0.75, 0.95, 1.0]
-    qs = [quantile_type1(x, p) for p in probs]
+    qs = quantiles_type1(x, probs)
     for q in qs:
         assert q in x
     assert all(q2 >= q1 for q1, q2 in zip(qs, qs[1:]))
-    assert np.array_equal(quantiles_type1(x, probs), np.array(qs))
+    assert np.array_equal(qs, [quantiles_type1(x, (p,))[0] for p in probs])
 
 
 @given(vals=st.lists(st.floats(-100.0, 100.0, allow_nan=False), min_size=1, max_size=40),
        p=st.floats(0.01, 1.0))
 def test_quantile_type1_matches_oracle(vals, p):
-    assert quantile_type1(np.array(vals), p) == type1_oracle(vals, p)
+    assert quantiles_type1(np.array(vals), (p,))[0] == type1_oracle(vals, p)
 
 
 # subsampling -------------------------------------------------------------------

@@ -6,15 +6,19 @@ import pytest
 from mcmc_confidence import Rng, normal_cdf
 
 
+def gammas(rng, n, shape, rate):
+    return np.fromiter((rng.gamma(shape, rate) for _ in range(n)), dtype=float, count=n)
+
+
 def test_same_seed_same_streams():
     a, b = Rng(1976), Rng(1976)
     assert np.array_equal(a.normals(1000), b.normals(1000))
-    assert np.array_equal(a.gammas(1000, 2.5, 2.0), b.gammas(1000, 2.5, 2.0))
+    assert np.array_equal(gammas(a, 1000, 2.5, 2.0), gammas(b, 1000, 2.5, 2.0))
 
 
 def test_distinct_seeds_differ():
     assert not np.array_equal(Rng(1).normals(100), Rng(2).normals(100))
-    assert not np.array_equal(Rng(1).gammas(100, 2.5, 2.0), Rng(2).gammas(100, 2.5, 2.0))
+    assert not np.array_equal(gammas(Rng(1), 100, 2.5, 2.0), gammas(Rng(2), 100, 2.5, 2.0))
 
 
 def test_mixed_op_sequence_reproducible():
@@ -23,7 +27,7 @@ def test_mixed_op_sequence_reproducible():
         out = [r.normal(0.0, 2.0), r.gamma(4.5, 22.0)]
         out.extend(r.normals(17).tolist())
         out.append(r.normal(-1.0, 0.5))
-        out.extend(r.gammas(5, 1.0, 1.0).tolist())
+        out.extend(gammas(r, 5, 1.0, 1.0).tolist())
         return out
 
     assert run(42) == run(42)
@@ -32,10 +36,6 @@ def test_mixed_op_sequence_reproducible():
 def test_scalar_and_batch_draws_share_the_stream():
     r1, r2 = Rng(4), Rng(4)
     assert np.array_equal(r1.normals(50), np.array([r2.normal() for _ in range(50)]))
-    r1, r2 = Rng(5), Rng(5)
-    assert np.array_equal(
-        r1.gammas(20, 2.5, 2.0), np.array([r2.gamma(2.5, 2.0) for _ in range(20)])
-    )
 
 
 def test_batch_composition():
@@ -56,7 +56,7 @@ def test_spawn_offsets_seed():
     child = base.spawn(3)
     assert child.seed == 103
     assert np.array_equal(child.normals(10), Rng(103).normals(10))
-    assert np.array_equal(base.spawn(4).gammas(10, 2.5, 2.0), Rng(104).gammas(10, 2.5, 2.0))
+    assert np.array_equal(gammas(base.spawn(4), 10, 2.5, 2.0), gammas(Rng(104), 10, 2.5, 2.0))
     with pytest.raises(ValueError):
         base.spawn(-1)
 
@@ -92,15 +92,13 @@ def test_gamma_rejects_bad_params():
     for shape, rate in ((0.0, 1.0), (-2.0, 1.0), (1.0, 0.0), (1.0, -3.0)):
         with pytest.raises(ValueError):
             r.gamma(shape, rate)
-        with pytest.raises(ValueError):
-            r.gammas(5, shape, rate)
 
 
 def test_gamma_positive_and_mean_examples():
-    g = Rng(5).gammas(10**6, 2.5, 2.0)
+    g = gammas(Rng(5), 10**6, 2.5, 2.0)
     assert float(g.min()) > 0.0
     assert abs(float(g.mean()) - 1.25) < 0.01 * 1.25
-    g = Rng(6).gammas(10**6, 4.5, 22.0)
+    g = gammas(Rng(6), 10**6, 4.5, 22.0)
     target = 4.5 / 22.0
     assert abs(float(g.mean()) - target) < 0.01 * target
 
@@ -108,7 +106,7 @@ def test_gamma_positive_and_mean_examples():
 @pytest.mark.parametrize("shape,rate", [(2.5, 2.0), (4.5, 22.0), (1.0, 1.0)])
 def test_gamma_moment_recovery(shape, rate):
     n = 10**6
-    g = Rng(int(10 * shape + rate)).gammas(n, shape, rate)
+    g = gammas(Rng(int(10 * shape + rate)), n, shape, rate)
     mean, var = shape / rate, shape / rate**2
     se_mean = math.sqrt(var / n)
     assert abs(float(g.mean()) - mean) < 3.0 * se_mean

@@ -88,7 +88,6 @@ def test_ar1_run_includes_start():
     chain = ar1_run(2000, Ar1Params(0.5), Rng(1976))
     assert len(chain) == 2000
     assert chain.values[0] == 1.0
-    assert chain.sampler == "ar1"
     single = ar1_run(1, Ar1Params(0.5), Rng(0), x0=-3.0)
     assert np.array_equal(single.values, [-3.0])
     with pytest.raises(ValueError):
@@ -290,4 +289,4 @@ def test_nv_location_equivariance_on_a_shared_stream():
 
 def test_chain_requires_a_state():
     with pytest.raises(ValueError):
-        Chain(values=np.empty(0), sampler="ar1")
+        Chain(values=np.empty(0))

@@ -17,7 +17,6 @@ from mcmc_confidence import (
     kde_1d,
     mcse_bm,
     mcse_obm,
-    quantile_type1,
     quantiles_type1,
     running_mcse,
     running_mean,
@@ -202,7 +201,7 @@ ESTIMATORS = [
     mcse_bm,
     mcse_obm,
     subsample_quantile_se,
-    lambda x: quantile_type1(x, 0.5),
+    lambda x: quantiles_type1(x, (0.25, 1.0)),
     lambda x: quantiles_type1(x, (0.5,)),
     ci_mean,
     ci_quantiles,
