@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import ctypes
 import functools
 import math
 import os
@@ -69,10 +70,36 @@ _RB_GRID = (-3.0, 4.0, 701)
 
 _POOL_MIN_REPLICATIONS = 16
 
+# glibc's mallopt parameters (malloc.h) and the values the CLI sets: blocks
+# below 32 MiB come from the heap, and up to 64 MiB of free heap top stays
+# mapped. 32 MiB is the 64-bit ceiling of glibc's own sliding threshold, and
+# older glibc rejects more. The stopping kernels' temporaries are at most
+# about 1 MiB.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MALLOPT_SETTINGS = ((_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, 64 << 20))
+
 # rows formatted and written per step: the per-chunk work is already negligible
 # at this size, and larger chunks only raise peak memory (1024 rows of the
 # 10-column running.csv add about 2 MB to an ar1 run)
 _WRITE_CHUNK_ROWS = 128
+
+
+def _keep_freed_heap() -> tuple:
+    """Keep freed heap pages in this process, where the C library has mallopt.
+
+    By default glibc returns the heap top to the system whenever a stopping
+    check frees its numpy temporaries, so the next check faults and zeroes
+    those pages again. Fixed thresholds keep them for reuse. Returns what
+    each mallopt call returned (1 where glibc took the value), or () where
+    there is no mallopt (macOS, Windows).
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return ()
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return tuple(mallopt(param, value) for param, value in _MALLOPT_SETTINGS)
 
 
 # serialization helpers ------------------------------------------------------
@@ -201,10 +228,10 @@ def run_ar1(args) -> dict:
         + ["mean_lcl_obm", "mean_ucl_obm"]
     )
 
-    try:
+    if x.min() < x.max():
         rs = acf(x)
         acf_columns = [np.arange(rs.size), rs]
-    except ValueError:
+    else:  # a constant chain has no autocorrelation
         acf_columns = [[0], [None]]
     return {
         "chain.csv": (["iter", "value"], [iters, x]),
@@ -407,7 +434,8 @@ def run_stop(args) -> dict:
     results = None
     if reps >= _POOL_MIN_REPLICATIONS and (os.cpu_count() or 1) > 1:
         try:
-            with concurrent.futures.ProcessPoolExecutor() as pool:
+            # spawn and forkserver workers do not inherit the heap settings
+            with concurrent.futures.ProcessPoolExecutor(initializer=_keep_freed_heap) as pool:
                 results = list(pool.map(replicate, range(reps), chunksize=4))
         except (OSError, concurrent.futures.process.BrokenProcessPool):
             results = None
@@ -567,6 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _keep_freed_heap()
     try:
         artifacts = args.func(args)
         if artifacts is None:  # refused its input, and said why

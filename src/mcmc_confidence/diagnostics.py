@@ -182,8 +182,11 @@ def acf(values, max_lag: Optional[int] = None) -> np.ndarray:
         max_lag = min(max_lag, n - 1)
     if not 0 <= max_lag < n:
         raise ValueError(f"max_lag must satisfy 0 <= max_lag < n, got {max_lag} (n={n})")
-    xc = x - x.mean()
-    denom = float(np.dot(xc, xc))
+    with np.errstate(over="ignore", invalid="ignore"):
+        xc = x - x.mean()
+        denom = float(np.dot(xc, xc))
+    if not math.isfinite(denom):
+        raise ValueError("autocorrelation overflows the float range: the chain's squared deviations are too large")
     if denom == 0.0:
         raise ValueError("autocorrelation is undefined for a zero-variance chain")
     return np.array([float(np.dot(xc[: n - k], xc[k:])) / denom for k in range(max_lag + 1)])

@@ -40,7 +40,9 @@ Every standard error is sqrt(sigma2 / n). Chains shorter than
 ``MIN_SAMPLES`` do not produce a number: estimators return ``None`` (the
 absent-value sentinel; the CLI serializes it as "NA"). Chains shorter
 than ``SMALL_SAMPLE_WARN`` are flagged via ``warning=True`` on the result.
-Chains holding NaN or +/-inf are rejected with ``ValueError``.
+Chains holding NaN or +/-inf are rejected with ``ValueError``, and so are
+a sigma2 that overflows the float range and a transform that is not finite
+at some value of the chain.
 """
 
 from __future__ import annotations
@@ -166,9 +168,14 @@ def _as_values(values) -> np.ndarray:
 def _apply_transform(x: np.ndarray, g: Transform) -> np.ndarray:
     if g is None:
         return x
-    gx = np.asarray(g(x), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gx = np.asarray(g(x), dtype=float)
     if gx.shape != x.shape:
         raise ValueError("transform must be elementwise (shape-preserving)")
+    finite = np.isfinite(gx)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"transform overflows or is undefined at index {i}: g({x[i]}) = {gx[i]}")
     return gx
 
 
@@ -256,12 +263,18 @@ def _prefix_sigma2(x: np.ndarray, b: int, kind: str, ks: np.ndarray, probabiliti
     One scan of the longest prefix's statistics serves them all: prefix k,
     with a = _batch_count(k, b, kind) batches, reads row a - 1 and takes
     b * S / (a - 1) for BM blocks, k * b * S / ((a - 1) * a) for OBM and
-    subsampling windows.
+    subsampling windows. A sigma2 that overflows the float range raises
+    ValueError.
     """
     a = _batch_count(ks, b, kind)
-    ss = _sum_sq_scan(_batch_stats(x, b, kind, ks[-1], probabilities))[a - 1]
-    k, a = ks[:, None], a[:, None]
-    return b * ss / (a - 1) if kind == "BM" else k * b * ss / ((a - 1) * a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ss = _sum_sq_scan(_batch_stats(x, b, kind, ks[-1], probabilities))[a - 1]
+        k, a = ks[:, None], a[:, None]
+        sigma2 = b * ss / (a - 1) if kind == "BM" else k * b * ss / ((a - 1) * a)
+    if not np.isfinite(sigma2).all():
+        raise ValueError(f"sigma2 overflows the float range: the chain's squared deviations are too large "
+                         f"(batch size {b})")
+    return sigma2
 
 
 def _mcse(values, policy: BatchPolicy, g: Transform, kind: str) -> Optional[McseEstimate]:

@@ -2,6 +2,8 @@ import errno
 import inspect
 import math
 import os
+import platform
+import warnings
 
 import numpy as np
 import pytest
@@ -336,6 +338,10 @@ def test_domain_errors_exit_two(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("value\n1\nx\n")
     overflow = (errno.ERANGE, os.strerror(errno.ERANGE))
+    # finite values whose squares overflow
+    big = tmp_path / "big.csv"
+    big.write_text("".join(f"{v!r}\n" for v in (-1e200 * np.cos(np.arange(2000.0))).tolist()))
+    sigma2 = "sigma2 overflows the float range: the chain's squared deviations are too large (batch size {})"
     cases = [
         (["ar1", "--rho", 1.5], "need |rho| < 1 for stationarity, got 1.5"),
         (["gibbs-normal", "--m", 2], "sample size m must be at least 3, got 2"),
@@ -346,10 +352,19 @@ def test_domain_errors_exit_two(tmp_path, capsys):
         (["ar1", "--n", 50, "--rho", 0.9, "--tau", 1e308], "chain holds a non-finite value (inf) at index 8"),
         (["gibbs-normal", "--n", 50, "--y-bar", 1e300], str(overflow)),
         (["mcse", "--input", bad], f"{bad}:3: cannot parse 'x' as a number"),
+        (["ar1", "--n", 50, "--rho", 0.9, "--tau", 1e200], sigma2.format(3)),
+        (["stop", "--tau", 1e300, "--pilot", 2000, "--max-n", 4000], sigma2.format(44)),
+        (["stop", "--target", "quantiles", "--tau", 1e300, "--pilot", 2000, "--max-n", 4000], sigma2.format(44)),
+        (["mcse", "--input", big, "--method", "obm"], sigma2.format(44)),
+        (["mcse", "--input", big, "--method", "bm", "--transform", "square"],
+         "transform overflows or is undefined at index 0: g(-1e+200) = inf"),
+        (["mcse", "--input", big, "--probabilities", 0.5], sigma2.format(44)),
     ]
     for k, (argv, message) in enumerate(cases):
         out = tmp_path / str(k)
-        assert run_cli(argv + ["--out", out]) == 2, argv
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_cli(argv + ["--out", out]) == 2, argv
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists(), argv
 
@@ -634,3 +649,60 @@ def test_stop_rows_match_direct_stopping_runs(tmp_path, target):
             row = [i, p, res.terminal_n, half, est, res.converged, abs(est - truth) <= half]
             expected.append([format_value(v) for v in row if v is not None])
     assert rows == expected
+
+
+def test_pooled_stop_writes_the_same_bytes_as_serial_stop(tmp_path, monkeypatch):
+    from mcmc_confidence import cli
+
+    pools = []
+    real_pool = cli.concurrent.futures.ProcessPoolExecutor
+
+    def recording_pool(*args, **kwargs):
+        pools.append(kwargs)
+        return real_pool(*args, **kwargs)
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", recording_pool)
+    # several checks per replicate (terminal n from 4000 to 8000)
+    argv = ["stop", "--target", "quantiles", "--rho", 0.8, "--replications", 16, "--seed", 21]
+    pooled, serial = tmp_path / "pooled", tmp_path / "serial"
+    assert run_cli(argv + ["--out", pooled]) == 0
+    if (os.cpu_count() or 1) > 1:
+        # every worker sets the heap thresholds itself, whatever its start method
+        assert pools == [{"initializer": cli._keep_freed_heap}]
+    pooled_runs = len(pools)
+    monkeypatch.setattr(cli, "_POOL_MIN_REPLICATIONS", 17)
+    assert run_cli(argv + ["--out", serial]) == 0
+    assert len(pools) == pooled_runs  # the serial run made no pool
+    for name in ("results.csv", "summary.csv"):
+        assert read_bytes(pooled / name) == read_bytes(serial / name)
+
+
+class _LibcWithoutMallopt:
+    def __init__(self, name):
+        pass
+
+
+def _libc_missing(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("cdll", [_LibcWithoutMallopt, _libc_missing])
+def test_heap_settings_fall_back_without_mallopt(tmp_path, monkeypatch, cdll):
+    from mcmc_confidence import cli
+
+    ref, out = tmp_path / "ref", tmp_path / "out"
+    assert run_cli(["ar1", "--n", 200, "--out", ref]) == 0
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    assert cli._keep_freed_heap() == ()
+    assert run_cli(["ar1", "--n", 200, "--out", out]) == 0
+    for name in ("chain.csv", "running.csv", "acf.csv"):
+        assert read_bytes(ref / name) == read_bytes(out / name)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt's return values are glibc's")
+def test_glibc_takes_both_heap_settings():
+    # mallopt returns 0, and leaves the setting alone, for a value over its glibc's limit
+    # (an mmap threshold above 32 MiB on older 64-bit glibc)
+    from mcmc_confidence import cli
+
+    assert cli._keep_freed_heap() == (1, 1)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -170,6 +171,19 @@ def test_acf_errors():
         acf(np.arange(10.0), max_lag=10)
     with pytest.raises(ValueError):
         acf(np.arange(10.0), max_lag=-1)
+
+
+def test_overflowing_chain_is_a_value_error():
+    x = ar1_run(400, Ar1Params(0.5, 1e200), Rng(8)).values
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^autocorrelation overflows the float range"):
+            acf(x)
+        for sweep in (lambda v: running_mcse(v, "BM"), lambda v: running_mcse(v, "OBM"),
+                      lambda v: running_mcse(v / 1e100, "OBM", g=np.exp),
+                      lambda v: running_quantile_se(v, (0.25, 0.75))):
+            with pytest.raises(ValueError, match="overflows"):
+                sweep(x)
 
 
 # conditional-expectation estimators ----------------------------------------------

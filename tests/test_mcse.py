@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -362,3 +363,48 @@ def test_ci_quantiles_bonferroni_contains_plain():
     bonf = ci_quantiles(x, (0.25, 0.75), level=0.9, bonferroni=True)
     for p, b in zip(plain, bonf):
         assert b.lower < p.lower and b.upper > p.upper
+
+
+# chains whose squares overflow ------------------------------------------------
+
+# finite, but their squared deviations exceed the float range
+BIG = ar1_run(2000, Ar1Params(0.5, 1e200), Rng(3)).values
+
+
+@pytest.mark.parametrize(
+    "estimate",
+    [
+        lambda x: mcse_bm(x),
+        lambda x: mcse_bm(x, "cuberoot"),
+        lambda x: mcse_obm(x),
+        lambda x: subsample_quantile_se(x, (0.5,)),
+        lambda x: ci_mean(x, "BM"),
+        lambda x: ci_quantiles(x, bonferroni=True),
+    ],
+)
+def test_overflowing_sigma2_is_a_value_error(estimate):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^sigma2 overflows the float range: .* \(batch size \d+\)$"):
+            estimate(BIG)
+
+
+@pytest.mark.parametrize("g", [np.square, lambda v: np.exp(-v), np.log])
+def test_non_finite_transform_is_a_value_error(g):
+    x = np.concatenate((np.ones(20), [-1e200], np.ones(20)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^transform overflows or is undefined at index 20: g\(-1e\+200\) = "):
+            mcse_obm(x, g=g)
+        with pytest.raises(ValueError, match="transform overflows"):
+            ci_mean(x, "BM", g=g)
+
+
+def test_large_finite_chains_scale_exactly():
+    # below the overflow the check rejects nothing: a power-of-two scale
+    # rounds the same way at every step, so it carries through bit for bit
+    x = ar1_run(2000, Ar1Params(0.5), Rng(3)).values
+    scale = 2.0**480
+    assert mcse_bm(x * scale).se == mcse_bm(x).se * scale
+    assert mcse_obm(x * scale).se == mcse_obm(x).se * scale
+    assert np.array_equal(subsample_quantile_se(x * scale).ses, subsample_quantile_se(x).ses * scale)
