@@ -15,9 +15,13 @@ with LF.
 CSV is written a column at a time: ``write_csv`` takes one 1-D array per
 column and formats each in one pass chosen by its dtype (floats, integers;
 anything else value by value through ``format_value``), a bounded chunk of
-rows at a time. ``mcse --input`` parses its file in one bulk pass and walks
-it line by line only when that pass rejects the file, so the rules and the
-error messages are those of the line-by-line reader.
+rows at a time. ``mcse --input`` parses its file in one bulk ``np.loadtxt``
+pass. A file that pass rejects (a whitespace-only line, say) is read again
+by the line loop, so the rules and the error messages are those of the
+line-by-line reader; one trailing whitespace-only line takes a 10^6-row
+``mcse`` run from about 0.95 s to 2.25 s on 2 vCPUs. An input with fewer
+than 10 values is a data error like any other:
+``error: insufficient samples: need at least 10, got N``.
 
 Exit codes: 0 success, 1 usage error, 2 data/domain error, 3 I/O error.
 """
@@ -314,24 +318,14 @@ def _read_lines(path: str) -> np.ndarray:
     return np.asarray(values, dtype=float)
 
 
-def _loadtxt(source, skip: int) -> np.ndarray:
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        return np.loadtxt(source, delimiter=",", usecols=0, comments=None, ndmin=1, skiprows=skip,
-                          encoding="utf-8")
-
-
 def _read_single_column(path: str) -> np.ndarray:
     """The first comma-separated field of every line of ``path`` as finite floats.
 
-    One bulk parse covers well-formed files. ``np.loadtxt`` takes a subset of
-    what ``_read_lines`` takes (not whitespace-only lines, empty first fields,
-    digit underscores or non-ASCII digits) and parses it to the same doubles.
-    When it rejects the path, it gets the stripped lines with the blank ones
-    ``_read_lines`` skips left out; it parses a path over twice as fast as
-    lines, so clean files do not pay for that filter. When this fails too,
-    or the file holds a non-finite value, ``_read_lines`` gives the result
-    or names the line at fault.
+    One bulk ``np.loadtxt`` pass covers well-formed files. It takes a subset
+    of what ``_read_lines`` takes (not whitespace-only lines, empty first
+    fields, digit underscores or non-ASCII digits) and parses it to the same
+    doubles. When it rejects the file, or the file holds a non-finite value,
+    ``_read_lines`` gives the result or names the line at fault.
     """
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline()
@@ -341,23 +335,20 @@ def _read_single_column(path: str) -> np.ndarray:
     except ValueError:  # a header, an empty first field, or a blank first line
         skip = 1
     try:
-        values = _loadtxt(path, skip)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            values = np.loadtxt(path, delimiter=",", usecols=0, comments=None, ndmin=1, skiprows=skip,
+                                encoding="utf-8")
     except ValueError:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                # a blank first line is filtered out, not skipped
-                values = _loadtxt(filter(None, map(str.strip, fh)), skip if first.strip() else 0)
-        except ValueError:
-            return _read_lines(path)
+        return _read_lines(path)
     return values if np.isfinite(values).all() else _read_lines(path)
 
 
-def run_mcse(args) -> Optional[dict]:
-    """Print the report and return it as ``report.txt``; None when the input is too short."""
+def run_mcse(args) -> dict:
+    """Print the report and return it as ``report.txt``."""
     values = _read_single_column(args.input)
     if values.size < MIN_SAMPLES:
-        print(f"insufficient samples: need at least {MIN_SAMPLES}, got {values.size}", file=sys.stderr)
-        return None
+        raise ValueError(f"insufficient samples: need at least {MIN_SAMPLES}, got {values.size}")
 
     lines: list[str] = [f"n={values.size}"]
     if args.probabilities is not None:
@@ -580,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=_positive_int, default=None,
                    help="iterations added per check (default 1000 for mean, 2000 for quantiles)")
     p.add_argument("--pilot", type=_int_at_least(MIN_SAMPLES), default=2000, help="pilot chain length")
-    p.add_argument("--max-n", type=int, default=200_000, help="simulation budget")
+    p.add_argument("--max-n", type=_int_at_least(MIN_SAMPLES), default=200_000, help="simulation budget")
     p.add_argument("--bonferroni", action="store_true",
                    help="inflate the level so the quantile intervals hold jointly")
     p.add_argument("--probabilities", type=_probabilities, default=(0.25, 0.75))
@@ -598,8 +589,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     _keep_freed_heap()
     try:
         artifacts = args.func(args)
-        if artifacts is None:  # refused its input, and said why
-            return EXIT_DATA
         if args.out is not None:
             write_manifest(args)
             for name, artifact in artifacts.items():

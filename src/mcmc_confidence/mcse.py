@@ -430,11 +430,12 @@ def ci_mean(
     meth = method.upper()
     if meth not in ("BM", "OBM"):
         raise ValueError(f"method specified invalid (meth={method})")
-    est = (mcse_bm if meth == "BM" else mcse_obm)(x, policy, g)
+    gx = _apply_transform(x, g)
+    est = (mcse_bm if meth == "BM" else mcse_obm)(gx, policy)
     if est is None:
         return None
     df = est.a - 1 if meth == "BM" else est.a
-    center = float(np.mean(_apply_transform(x, g)))
+    center = float(np.mean(gx))
     return _t_interval(center, est.se, t_quantile(level, df), df=df, level=level, method=meth, b=est.b, a=est.a)
 
 

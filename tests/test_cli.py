@@ -3,7 +3,10 @@ import inspect
 import math
 import os
 import platform
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -86,6 +89,23 @@ def test_ar1_deterministic_and_replayable(tmp_path):
         assert read_bytes(a / name) == read_bytes(c / name)
 
 
+def test_running_interval_columns_match_direct_obm_intervals():
+    # run_ar1 derives the OBM degrees of freedom per prefix itself; they must be ci_mean's
+    from mcmc_confidence import ci_mean
+    from mcmc_confidence.cli import build_parser, run_ar1
+
+    args = build_parser().parse_args(["ar1", "--n", "600", "--rho", "0.95", "--seed", "7"])
+    artifacts = run_ar1(args)
+    x = artifacts["chain.csv"][1][1]
+    running = dict(zip(*artifacts["running.csv"]))
+    mean, lcl, ucl = running["mean"], running["mean_lcl_obm"], running["mean_ucl_obm"]
+    assert np.isnan(lcl[:9]).all() and np.isnan(ucl[:9]).all()
+    for k in range(10, x.size + 1):
+        half = ci_mean(x[:k], "OBM", 0.9).half_width
+        assert lcl[k - 1] == mean[k - 1] - half, k
+        assert ucl[k - 1] == mean[k - 1] + half, k
+
+
 def _replay_content(path):
     # a replay writes elsewhere, so the manifest's out= line is the one that may differ
     lines = read_bytes(path).splitlines(keepends=True)
@@ -116,6 +136,22 @@ def test_manifest_replay_rewrites_every_file(tmp_path, argv):
     assert len(names) > 1
     for name in names:
         assert _replay_content(a / name) == _replay_content(b / name), name
+
+
+def test_reproduce_all_script_runs_and_its_manifests_replay(tmp_path):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "reproduce_all.py"
+    root = tmp_path / "out"
+    done = subprocess.run([sys.executable, str(script), "--out", str(root)], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    runs = ["ar1-rho05", "ar1-rho95", "tda", "gibbs-normal", "gibbs-normal-mixture", "stop-mean"]
+    assert sorted(p.name for p in root.iterdir()) == sorted(runs)
+    for run in runs:
+        a, b = root / run, tmp_path / "replay" / run
+        assert run_cli(argv_from_manifest(a / "manifest.txt", out=str(b))) == 0, run
+        names = sorted(p.name for p in a.iterdir())
+        assert "manifest.txt" in names and names == sorted(p.name for p in b.iterdir())
+        for name in names:
+            assert _replay_content(a / name) == _replay_content(b / name), (run, name)
 
 
 def test_tda_outputs(tmp_path):
@@ -337,6 +373,8 @@ def test_domain_errors_exit_two(tmp_path, capsys):
     # a data error writes nothing, wherever in the run it is found
     bad = tmp_path / "bad.csv"
     bad.write_text("value\n1\nx\n")
+    short = tmp_path / "short.csv"
+    short.write_text("value\n1\n2\n3\n")
     overflow = (errno.ERANGE, os.strerror(errno.ERANGE))
     # finite values whose squares overflow
     big = tmp_path / "big.csv"
@@ -352,6 +390,7 @@ def test_domain_errors_exit_two(tmp_path, capsys):
         (["ar1", "--n", 50, "--rho", 0.9, "--tau", 1e308], "chain holds a non-finite value (inf) at index 8"),
         (["gibbs-normal", "--n", 50, "--y-bar", 1e300], str(overflow)),
         (["mcse", "--input", bad], f"{bad}:3: cannot parse 'x' as a number"),
+        (["mcse", "--input", short], "insufficient samples: need at least 10, got 3"),
         (["ar1", "--n", 50, "--rho", 0.9, "--tau", 1e200], sigma2.format(3)),
         (["stop", "--tau", 1e300, "--pilot", 2000, "--max-n", 4000], sigma2.format(44)),
         (["stop", "--target", "quantiles", "--tau", 1e300, "--pilot", 2000, "--max-n", 4000], sigma2.format(44)),
@@ -581,6 +620,7 @@ def test_bad_seed_is_a_usage_error(tmp_path, capsys, command, seed):
         (["ar1", "--probabilities", "0.5,nan"], "--probabilities"),
         (["stop", "--probabilities", "-0.25"], "--probabilities"),
         (["mcse", "--probabilities", "1.5"], "--probabilities"),
+        (["stop", "--max-n", 5], "--max-n"),
     ],
 )
 def test_bad_batch_step_or_pilot_is_a_usage_error(tmp_path, capsys, argv, flag):
