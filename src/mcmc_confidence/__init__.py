@@ -21,12 +21,7 @@ from .diagnostics import (
     silverman_bandwidth,
 )
 from .distributions import (
-    ln_gamma,
-    normal_cdf,
-    normal_pdf,
     normal_quantile,
-    reg_inc_beta,
-    t4_pdf,
     t_cdf,
     t_quantile,
 )
@@ -48,11 +43,9 @@ from .samplers import (
     Ar1Source,
     Chain,
     NormalPosteriorParams,
-    TdaState,
     ar1_extend,
     ar1_run,
     nv_gibbs_run,
-    nv_gibbs_step,
     tda_run,
 )
 from .stopping import StoppingConfig, StoppingResult, fixed_width_mean, fixed_width_quantiles

@@ -52,7 +52,7 @@ from .diagnostics import (
     running_quantiles,
 )
 from .distributions import t_quantile
-from .mcse import MIN_SAMPLES, ci_mean, ci_quantiles, quantiles_type1
+from .mcse import MIN_SAMPLES, _batch_count, ci_mean, ci_quantiles, quantiles_type1
 from .rng import Rng
 from .samplers import Ar1Params, Ar1Source, NormalPosteriorParams, ar1_run, nv_gibbs_run, tda_run
 from .stopping import StoppingConfig, fixed_width_mean, fixed_width_quantiles
@@ -221,7 +221,7 @@ def run_ar1(args) -> dict:
     q_ses = running_quantile_se(x, probs)
     crit = np.full(n, np.nan)
     for k in range(MIN_SAMPLES, n + 1):
-        crit[k - 1] = t_quantile(_RUNNING_LEVEL, k - math.isqrt(k) + 1)
+        crit[k - 1] = t_quantile(_RUNNING_LEVEL, _batch_count(k, math.isqrt(k), "OBM"))
     lcl = means - crit * se_obm
     ucl = means + crit * se_obm
 

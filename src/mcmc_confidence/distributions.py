@@ -1,9 +1,9 @@
 """Distribution functions and the special functions behind them.
 
 Scalar, pure, and dependency-free (stdlib ``math`` and ``statistics``
-only): log-gamma, regularized incomplete beta, normal and Student-t CDFs
-and quantiles, and the heavy-tailed example density the data-augmentation
-sampler targets. Non-integer degrees of freedom are accepted everywhere.
+only): the normal quantile, and the Student-t CDF and quantile the
+intervals use, which rest on the incomplete-beta continued fraction.
+Non-integer degrees of freedom are accepted everywhere.
 
 The Student-t quantile needs no root search. Where the term it omits is
 below an ulp it is the Cornish-Fisher series in 1/df (Abramowitz & Stegun
@@ -20,18 +20,11 @@ from functools import lru_cache
 from statistics import NormalDist
 
 __all__ = [
-    "ln_gamma",
-    "reg_inc_beta",
-    "normal_cdf",
-    "normal_pdf",
     "normal_quantile",
     "t_cdf",
     "t_quantile",
-    "t4_pdf",
 ]
 
-_SQRT_2PI = 2.506628274631000502415765284811045
-_SQRT2 = 1.4142135623730951
 _LN_SQRT_PI = 0.5723649429247000870717136756012478
 
 _BETA_MAX_ITER = 300
@@ -41,13 +34,6 @@ _TINY = 1e-300
 _EPS = sys.float_info.epsilon
 _LN_SQRT_MAX = 0.5 * math.log(sys.float_info.max)
 _STD_NORMAL = NormalDist()
-
-
-def ln_gamma(x: float) -> float:
-    """Natural log of the gamma function, x > 0."""
-    if x <= 0.0 or math.isnan(x):
-        raise ValueError(f"ln_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
 
 
 def _beta_cont_frac(a: float, b: float, x: float) -> float:
@@ -81,39 +67,9 @@ def _beta_cont_frac(a: float, b: float, x: float) -> float:
     )
 
 
-def reg_inc_beta(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b) for a, b > 0 and x in [0, 1]."""
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError(f"reg_inc_beta requires a, b > 0, got ({a}, {b})")
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"reg_inc_beta requires 0 <= x <= 1, got {x}")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    ln_front = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b) + a * math.log(x) + b * math.log1p(-x)
-    front = math.exp(ln_front)
-    # symmetry switch keeps the continued fraction in its fast-converging region
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_cont_frac(a, b, x) / a
-    return 1.0 - front * _beta_cont_frac(b, a, 1.0 - x) / b
-
-
 def _check_prob(p: float) -> None:
     if not 0.0 < p < 1.0:
         raise ValueError(f"probability must lie strictly inside (0, 1), got {p}")
-
-
-def normal_cdf(x: float) -> float:
-    """Standard normal CDF."""
-    return 0.5 * math.erfc(-x / _SQRT2)
-
-
-def normal_pdf(x: float, mean: float = 0.0, sd: float = 1.0) -> float:
-    if sd <= 0.0:
-        raise ValueError(f"normal_pdf requires sd > 0, got {sd}")
-    z = (x - mean) / sd
-    return math.exp(-0.5 * z * z) / (sd * _SQRT_2PI)
 
 
 def normal_quantile(p: float) -> float:
@@ -134,7 +90,9 @@ def _ln_gamma_half_ratio(a: float) -> float:
 def _t_mass(t: float, df: float) -> tuple[bool, float, float]:
     """``(central, ln m, d ln m / d ln t)`` for t > 0: m is the central mass
     P(0 < T < t) where its continued fraction converges fast, otherwise the
-    upper tail P(T > t); the switch of ``reg_inc_beta`` at x = df / (df + t^2)."""
+    upper tail P(T > t). With y = t^2 / (df + t^2), 2m is I_y(1/2, df/2) or
+    I_(1-y)(df/2, 1/2); the switch at y = 3 / (df + 5) is the incomplete beta's
+    usual one, x = (a + 1) / (a + b + 2) for I_x(a, b)."""
     a = 0.5 * df
     t2 = t * t
     # ln of x^a (1-x)^(1/2) / B(a, 1/2) with 1 - x = t^2 / (df + t^2), the
@@ -212,8 +170,3 @@ def _t_newton(u: float, tail: float, mass: float, df: float) -> float:
         if abs(step) < 1e-9:
             return math.exp(u)
     raise ArithmeticError(f"t quantile did not converge (tail {tail}, df {df})")
-
-
-def t4_pdf(x: float) -> float:
-    """Density (3/8) * (1 + x^2/4)^(-5/2), the Student-t with 4 df."""
-    return 0.375 * (1.0 + 0.25 * x * x) ** -2.5

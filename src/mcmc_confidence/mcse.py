@@ -256,6 +256,14 @@ def _batch_stats(x: np.ndarray, b: int, kind: str, n: int, probabilities=()) -> 
     return ((cs[b:] - cs[:-b]) / b)[:, None]
 
 
+def _sigma2_rows(x: np.ndarray, b: int, kind: str, ks: np.ndarray, probabilities) -> np.ndarray:
+    a = _batch_count(ks, b, kind)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ss = _sum_sq_scan(_batch_stats(x, b, kind, ks[-1], probabilities))[a - 1]
+        k, a = ks[:, None], a[:, None]
+        return b * ss / (a - 1) if kind == "BM" else k * b * ss / ((a - 1) * a)
+
+
 def _prefix_sigma2(x: np.ndarray, b: int, kind: str, ks: np.ndarray, probabilities=()) -> np.ndarray:
     """sigma2 of every prefix x[:k], k in the ascending array ks, each holding
     two or more batches of size b; one row per prefix, one column per statistic.
@@ -263,17 +271,21 @@ def _prefix_sigma2(x: np.ndarray, b: int, kind: str, ks: np.ndarray, probabiliti
     One scan of the longest prefix's statistics serves them all: prefix k,
     with a = _batch_count(k, b, kind) batches, reads row a - 1 and takes
     b * S / (a - 1) for BM blocks, k * b * S / ((a - 1) * a) for OBM and
-    subsampling windows. A sigma2 that overflows the float range raises
+    subsampling windows. A row whose products overflow is computed again on
+    x * 2^-e, with 2^e just above max|x|, and multiplied back by 2^2e: a power
+    of two rounds the same at every step, so this is the sigma2 an unbounded
+    exponent range would give. A sigma2 still beyond the float range raises
     ValueError.
     """
-    a = _batch_count(ks, b, kind)
-    with np.errstate(over="ignore", invalid="ignore"):
-        ss = _sum_sq_scan(_batch_stats(x, b, kind, ks[-1], probabilities))[a - 1]
-        k, a = ks[:, None], a[:, None]
-        sigma2 = b * ss / (a - 1) if kind == "BM" else k * b * ss / ((a - 1) * a)
-    if not np.isfinite(sigma2).all():
-        raise ValueError(f"sigma2 overflows the float range: the chain's squared deviations are too large "
-                         f"(batch size {b})")
+    sigma2 = _sigma2_rows(x, b, kind, ks, probabilities)
+    bad = ~np.isfinite(sigma2).all(axis=1)
+    if bad.any():
+        e = math.frexp(float(np.max(np.abs(x[: ks[-1]]))))[1]
+        with np.errstate(over="ignore"):
+            sigma2[bad] = np.ldexp(_sigma2_rows(np.ldexp(x, -e), b, kind, ks[bad], probabilities), 2 * e)
+        if not np.isfinite(sigma2).all():
+            raise ValueError(f"sigma2 overflows the float range: the chain's squared deviations are too large "
+                             f"(batch size {b})")
     return sigma2
 
 

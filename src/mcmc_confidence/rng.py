@@ -6,11 +6,18 @@ Rejection-based draws (gamma) consume a variable number of underlying
 uniforms, so determinism is a property of the uniform stream, not of a
 fixed draw count.
 
-Gamma draws use the shape-rate convention throughout: the density is
-proportional to ``x**(shape-1) * exp(-rate*x)``.
+Two kinds of draw read the stream: ``normals``, a batch of normal
+variates, and the stream's own scalar ``standard_gamma`` and
+``standard_normal`` from ``standard_draws``, which the Gibbs and
+data-augmentation loops call once per variate. A Gamma(shape, rate) draw,
+density proportional to ``x**(shape-1) * exp(-rate*x)``, is
+``(1.0 / rate) * standard_gamma(shape)``, exactly as numpy forms its
+``gamma(shape, 1.0 / rate)``; N(mean, sd) is ``mean + sd * standard_normal()``.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
@@ -18,7 +25,8 @@ _UINT64_MAX = 2**64 - 1
 
 
 class Rng:
-    """Deterministic random generator with scalar and batch draw primitives.
+    """Deterministic random generator: batch normals, and the stream's bound
+    scalar standard gamma and standard normal draws for per-variate loops.
 
     A generator is owned by one thread of execution at a time; replication
     studies should give each replicate its own ``spawn(index)`` stream
@@ -46,19 +54,10 @@ class Rng:
             raise ValueError("replicate index must be nonnegative")
         return Rng((self.seed + int(index)) % (_UINT64_MAX + 1))
 
-    # scalar draws ---------------------------------------------------------
-
-    def normal(self, mean: float = 0.0, sd: float = 1.0) -> float:
-        if sd <= 0.0:
-            raise ValueError(f"normal draw needs sd > 0, got {sd}")
-        return float(self._gen.normal(mean, sd))
-
-    def gamma(self, shape: float, rate: float) -> float:
-        if shape <= 0.0 or rate <= 0.0:
-            raise ValueError(f"gamma draw needs shape > 0 and rate > 0, got ({shape}, {rate})")
-        return float(self._gen.gamma(shape, 1.0 / rate))
-
-    # batch draws ----------------------------------------------------------
+    def standard_draws(self) -> tuple[Callable[[float], float], Callable[[], float]]:
+        """The stream's bound ``(standard_gamma, standard_normal)``: one Gamma(shape, 1)
+        or N(0, 1) variate per call, with numpy's argument checks only."""
+        return self._gen.standard_gamma, self._gen.standard_normal
 
     def normals(self, n: int, mean: float = 0.0, sd: float = 1.0) -> np.ndarray:
         if sd <= 0.0:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -19,13 +18,11 @@ from .rng import Rng
 __all__ = [
     "Ar1Params",
     "NormalPosteriorParams",
-    "TdaState",
     "Chain",
     "ar1_run",
     "ar1_extend",
     "Ar1Source",
     "tda_run",
-    "nv_gibbs_step",
     "nv_gibbs_run",
 ]
 
@@ -63,11 +60,6 @@ class NormalPosteriorParams:
             raise ValueError(f"sample mean y_bar must be finite, got {self.y_bar}")
         if not 0.0 < self.s2 < math.inf:
             raise ValueError(f"sample variance s2 must be positive and finite, got {self.s2}")
-
-
-class TdaState(NamedTuple):
-    x: float
-    y: float
 
 
 @dataclass(frozen=True)
@@ -142,20 +134,24 @@ class Ar1Source:
 # data augmentation for the t4 target ---------------------------------------
 
 
-def tda_run(n: int, rng: Rng, init: TdaState = TdaState(1.0, 1.0)) -> Chain:
-    """Bivariate (x, y) chain of n states, init included as state 1."""
+def tda_run(n: int, rng: Rng, init: tuple[float, float] = (1.0, 1.0)) -> Chain:
+    """Bivariate (x, y) chain of n states, init included as state 1.
+
+    x | y ~ N(0, 1/y), then y | x ~ Gamma(5/2, rate 2 + x^2/2).
+    """
     if n < 1:
         raise ValueError(f"chain length must be positive, got {n}")
-    if init.y <= 0.0:
-        raise ValueError(f"latent coordinate y must be positive, got {init.y}")
+    x, y = float(init[0]), float(init[1])
+    if y <= 0.0:
+        raise ValueError(f"latent coordinate y must be positive, got {y}")
     out = np.empty((n, 2))
-    out[0, 0], out[0, 1] = init.x, init.y
-    y = init.y
-    normal = rng.normal
-    gamma = rng.gamma
+    out[0, 0], out[0, 1] = x, y
+    standard_gamma, standard_normal = rng.standard_draws()
+    # numpy's own normal(loc, sd) and gamma(shape, 1 / rate) arithmetic, so the
+    # chain is the one those calls draw, bit for bit (0.0 + turns -0.0 into 0.0)
     for i in range(1, n):
-        x = normal(0.0, math.sqrt(1.0 / y))
-        y = gamma(2.5, 2.0 + 0.5 * x * x)
+        x = 0.0 + math.sqrt(1.0 / y) * standard_normal()
+        y = (1.0 / (2.0 + 0.5 * x * x)) * standard_gamma(2.5)
         out[i, 0] = x
         out[i, 1] = y
     return Chain(out)
@@ -164,39 +160,32 @@ def tda_run(n: int, rng: Rng, init: TdaState = TdaState(1.0, 1.0)) -> Chain:
 # Gibbs sampler for the normal mean/variance posterior ----------------------
 
 
-def nv_gibbs_step(
-    state: tuple[float, float],
-    params: NormalPosteriorParams,
-    rng: Rng,
-) -> tuple[float, float]:
-    """One Gibbs transition for (mu, theta).
-
-    The variance is refreshed first: theta | mu via the inverse gamma
-    (reciprocal of a gamma draw), then mu | theta ~ N(y_bar, theta/m).
-    """
-    mu, theta = state
-    m, y_bar, s2 = params.m, params.y_bar, params.s2
-    theta = 1.0 / rng.gamma(0.5 * (m - 1), 0.5 * m * (s2 + (y_bar - mu) ** 2))
-    mu = rng.normal(y_bar, math.sqrt(theta / m))
-    return mu, theta
-
-
 def nv_gibbs_run(
     n: int,
     params: NormalPosteriorParams,
     rng: Rng,
     init: tuple[float, float] = (1.0, 1.0),
 ) -> Chain:
-    """Bivariate (mu, theta) chain of n states, init included as state 1."""
+    """Bivariate (mu, theta) chain of n states, init included as state 1.
+
+    Each transition refreshes the variance first: theta | mu is the
+    reciprocal of a Gamma((m - 1)/2, rate m (s2 + (y_bar - mu)^2) / 2) draw,
+    then mu | theta ~ N(y_bar, theta/m).
+    """
     if n < 1:
         raise ValueError(f"chain length must be positive, got {n}")
     mu, theta = float(init[0]), float(init[1])
     if theta <= 0.0:
         raise ValueError(f"variance coordinate theta must be positive, got {theta}")
+    m, y_bar, s2 = params.m, params.y_bar, params.s2
+    shape = 0.5 * (m - 1)
     out = np.empty((n, 2))
     out[0, 0], out[0, 1] = mu, theta
+    standard_gamma, standard_normal = rng.standard_draws()
+    # numpy's gamma and normal arithmetic, as in tda_run
     for i in range(1, n):
-        mu, theta = nv_gibbs_step((mu, theta), params, rng)
+        theta = 1.0 / ((1.0 / (0.5 * m * (s2 + (y_bar - mu) ** 2))) * standard_gamma(shape))
+        mu = y_bar + math.sqrt(theta / m) * standard_normal()
         out[i, 0] = mu
         out[i, 1] = theta
     return Chain(out)

@@ -106,6 +106,19 @@ def test_running_interval_columns_match_direct_obm_intervals():
         assert ucl[k - 1] == mean[k - 1] + half, k
 
 
+def test_ar1_whose_sigma2_products_overflow_writes_finite_standard_errors(tmp_path):
+    # at tau = 1e150 the OBM and subsampling products k * b * S overflow while sigma2 fits
+    out = tmp_path / "big"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_cli(["ar1", "--n", 2000, "--rho", 0.95, "--tau", 1e150, "--out", out]) == 0
+    header, rows = read_csv(out / "running.csv")
+    se_columns = [i for i, name in enumerate(header) if name.startswith("se_")]
+    assert len(se_columns) == 4
+    for row in rows[9:]:
+        assert all(math.isfinite(float(row[i])) for i in se_columns), row[0]
+
+
 def _replay_content(path):
     # a replay writes elsewhere, so the manifest's out= line is the one that may differ
     lines = read_bytes(path).splitlines(keepends=True)

@@ -1,5 +1,6 @@
 import math
 import warnings
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from mcmc_confidence import (
     kde_2d,
     mcse_bm,
     mcse_obm,
-    normal_pdf,
     nv_gibbs_run,
     quantiles_type1,
     rb_marginal_mu,
@@ -219,7 +219,7 @@ def test_rb_marginal_plugin_peak_and_pdf_consistency():
     sd = math.sqrt(float(np.mean(theta)) / m)
     assert out.density[1] == pytest.approx(0.3989422804014327 / sd, rel=1e-12)
     for g, d in zip(grid, out.density):
-        assert d == pytest.approx(normal_pdf(float(g), y_bar, sd), rel=1e-12)
+        assert d == pytest.approx(NormalDist(y_bar, sd).pdf(float(g)), rel=1e-12)
 
 
 def test_rb_marginal_mixture_integrates_to_one():

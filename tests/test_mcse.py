@@ -15,6 +15,8 @@ from mcmc_confidence import (
     mcse_bm,
     mcse_obm,
     quantiles_type1,
+    running_mcse,
+    running_quantile_se,
     subsample_quantile_se,
 )
 
@@ -408,3 +410,22 @@ def test_large_finite_chains_scale_exactly():
     assert mcse_bm(x * scale).se == mcse_bm(x).se * scale
     assert mcse_obm(x * scale).se == mcse_obm(x).se * scale
     assert np.array_equal(subsample_quantile_se(x * scale).ses, subsample_quantile_se(x).ses * scale)
+
+
+def test_sigma2_whose_products_overflow_is_scaled_back_exactly():
+    # at 2^500, k * b * S overflows although sigma2 itself fits; the rows are
+    # computed again on a power-of-two-scaled chain and scaled back bit for bit
+    x = ar1_run(10**4, Ar1Params(0.9), Rng(3)).values
+    big = x * 2.0**500
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for estimate in (mcse_bm, mcse_obm):
+            assert estimate(big).sigma2_hat == estimate(x).sigma2_hat * 2.0**1000
+        assert np.array_equal(subsample_quantile_se(big).ses, subsample_quantile_se(x).ses * 2.0**500)
+        # at 2^480 a sweep's b = 22 group overflows at some prefixes and not
+        # at others; every row stays the unscaled one times the scale
+        head, scale = x[:3000], 2.0**480
+        assert np.array_equal(running_mcse(head * scale, "OBM"), running_mcse(head, "OBM") * scale, equal_nan=True)
+        ses = running_quantile_se(head * scale, (0.5,))
+        assert np.array_equal(ses, running_quantile_se(head, (0.5,)) * scale, equal_nan=True)
+        assert ses[-1, 0] == subsample_quantile_se(head * scale, (0.5,)).ses[0]

@@ -1,4 +1,5 @@
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -8,13 +9,10 @@ from mcmc_confidence import (
     Chain,
     NormalPosteriorParams,
     Rng,
-    TdaState,
     acf,
     ar1_extend,
     ar1_run,
-    normal_cdf,
     nv_gibbs_run,
-    nv_gibbs_step,
     t_cdf,
     tda_run,
 )
@@ -28,22 +26,45 @@ class StubRng:
     def __init__(self, normals=(), gammas=()):
         self._normals = list(normals)
         self._gammas = list(gammas)
-        self.normal_calls = []
         self.normals_calls = []
         self.gamma_calls = []
-
-    def normal(self, mean=0.0, sd=1.0):
-        self.normal_calls.append((mean, sd))
-        return self._normals.pop(0)
 
     def normals(self, n, mean=0.0, sd=1.0):
         self.normals_calls.append((n, mean, sd))
         draws, self._normals = self._normals[:n], self._normals[n:]
         return np.array(draws)
 
-    def gamma(self, shape, rate):
-        self.gamma_calls.append((shape, rate))
-        return self._gammas.pop(0)
+    def standard_draws(self):
+        def standard_gamma(shape):
+            self.gamma_calls.append(shape)
+            return self._gammas.pop(0)
+
+        return standard_gamma, lambda: self._normals.pop(0)
+
+
+def reference_tda(n, seed, init=(1.0, 1.0)):
+    """The data-augmentation chain drawn through numpy's gamma(shape, scale) and normal(loc, sd)."""
+    gen = np.random.Generator(np.random.PCG64(seed))
+    x, y = init
+    rows = [(x, y)]
+    for _ in range(n - 1):
+        x = gen.normal(0.0, math.sqrt(1.0 / y))
+        y = gen.gamma(2.5, 1 / (2.0 + 0.5 * x * x))
+        rows.append((x, y))
+    return np.array(rows)
+
+
+def reference_nv_gibbs(n, params, seed, init=(1.0, 1.0)):
+    """The normal mean/variance Gibbs chain drawn the same way."""
+    gen = np.random.Generator(np.random.PCG64(seed))
+    m, y_bar, s2 = params.m, params.y_bar, params.s2
+    mu, theta = init
+    rows = [(mu, theta)]
+    for _ in range(n - 1):
+        theta = 1.0 / gen.gamma(0.5 * (m - 1), 1 / (0.5 * m * (s2 + (y_bar - mu) ** 2)))
+        mu = gen.normal(y_bar, math.sqrt(theta / m))
+        rows.append((mu, theta))
+    return np.array(rows)
 
 
 @pytest.fixture(scope="module")
@@ -136,7 +157,7 @@ def test_ar1_rho_zero_is_iid_normal():
         sample = ar1_extend(ar1_run(1, params, rng, x0=0.0), n, params, rng).values[1:]
         xs = np.sort(sample)[::stride]
         ranks = np.arange(0, n, stride)
-        cdf = np.array([normal_cdf(float(v)) for v in xs])
+        cdf = np.array([NormalDist().cdf(float(v)) for v in xs])
         d_sub = np.max(np.maximum(np.abs(cdf - (ranks + 1) / n), np.abs(cdf - ranks / n)))
         if d_sub + stride / n < crit:
             passes += 1
@@ -157,19 +178,20 @@ def test_ar1_lag_one_autocorrelation(rho):
 
 
 def test_tda_step_conditional_structure():
+    # x = sqrt(1/y') z, then y = g / rate for a Gamma(5/2, 1) draw g
     stub = StubRng(normals=[0.0], gammas=[7.7])
-    new = tda_run(2, stub, init=TdaState(5.0, 1.0)).values[1]
+    new = tda_run(2, stub, init=(5.0, 1.0)).values[1]
     assert new[0] == 0.0
-    assert new[1] == 7.7
-    assert stub.normal_calls == [(0.0, 1.0)]  # sd = sqrt(1/y')
-    assert stub.gamma_calls == [(2.5, 2.0)]  # rate = 2 + x^2/2 at x = 0
+    assert new[1] == 7.7 / 2.0  # rate = 2 + x^2/2 at x = 0
+    assert stub.gamma_calls == [2.5]
 
 
 def test_tda_step_rate_uses_new_x():
     stub = StubRng(normals=[3.0], gammas=[1.0])
-    tda_run(2, stub, init=TdaState(0.0, 4.0))
-    assert stub.normal_calls == [(0.0, 0.5)]
-    assert stub.gamma_calls == [(2.5, 2.0 + 4.5)]
+    x, y = tda_run(2, stub, init=(0.0, 4.0)).values[1]
+    assert x == 1.5  # sd = sqrt(1/4)
+    assert y == 1.0 / (2.0 + 0.5 * 1.5**2)
+    assert stub.gamma_calls == [2.5]
 
 
 def test_tda_run_basics():
@@ -182,19 +204,27 @@ def test_tda_run_basics():
     with pytest.raises(ValueError):
         tda_run(0, Rng(0))
     with pytest.raises(ValueError):
-        tda_run(5, Rng(0), init=TdaState(1.0, -1.0))
+        tda_run(5, Rng(0), init=(1.0, -1.0))
 
 
 def test_tda_run_matches_stepwise_iteration():
     n = 500
-    chain = tda_run(n, Rng(9), init=TdaState(0.5, 2.0))
+    chain = tda_run(n, Rng(9), init=(0.5, 2.0))
     rng = Rng(9)
-    state = TdaState(0.5, 2.0)
+    state = (0.5, 2.0)
     rows = [state]
     for _ in range(n - 1):
-        state = TdaState(*tda_run(2, rng, init=state).values[1])
+        state = tuple(tda_run(2, rng, init=state).values[1])
         rows.append(state)
     assert np.array_equal(chain.values, np.array(rows))
+
+
+@pytest.mark.parametrize("seed", [0, 57, 424242])
+def test_tda_run_draws_exactly_what_numpy_gamma_and_normal_draw(seed):
+    n = 10**4
+    assert tda_run(n, Rng(seed)).values.tobytes() == reference_tda(n, seed).tobytes()
+    init = (-0.3, 0.7)
+    assert tda_run(n, Rng(seed), init=init).values.tobytes() == reference_tda(n, seed, init).tobytes()
 
 
 def test_tda_long_run_moments():
@@ -244,15 +274,24 @@ def test_nv_params_reject_non_finite(name, bad):
 
 
 def test_nv_step_forced_draw_structure():
+    # theta = rate / g for a Gamma((m-1)/2, 1) draw g, with rate m(s2 + (y_bar - mu_old)^2)/2
     params = NormalPosteriorParams(m=11, y_bar=1.0, s2=4.0)
-    stub = StubRng(normals=[params.y_bar], gammas=[1.0])
-    mu, theta = nv_gibbs_step((0.0, 3.0), params, stub)
-    assert theta == 1.0
-    assert mu == params.y_bar
-    # precision draw saw shape (m-1)/2 and rate m(s2 + (y_bar - mu_old)^2)/2
-    assert stub.gamma_calls == [(5.0, 11.0 * (4.0 + 1.0) / 2.0)]
-    # mu draw used the fresh theta
-    assert stub.normal_calls == [(1.0, math.sqrt(1.0 / 11.0))]
+    stub = StubRng(normals=[2.0], gammas=[2.0])
+    mu, theta = nv_gibbs_run(2, params, stub, init=(0.0, 3.0)).values[1]
+    assert theta == pytest.approx(11.0 * (4.0 + 1.0) / 2.0 / 2.0, rel=1e-15)
+    assert stub.gamma_calls == [5.0]
+    # mu = y_bar + sqrt(theta/m) z with the fresh theta
+    assert mu == pytest.approx(1.0 + 2.0 * math.sqrt(theta / 11.0), rel=1e-15)
+
+
+@pytest.mark.parametrize("seed", [0, 57, 424242])
+def test_nv_gibbs_run_draws_exactly_what_numpy_gamma_and_normal_draw(seed):
+    n = 10**4
+    params = NormalPosteriorParams()
+    assert nv_gibbs_run(n, params, Rng(seed)).values.tobytes() == reference_nv_gibbs(n, params, seed).tobytes()
+    params, init = NormalPosteriorParams(m=30, y_bar=-2.5, s2=0.3), (0.2, 3.0)
+    got = nv_gibbs_run(n, params, Rng(seed), init=init).values
+    assert got.tobytes() == reference_nv_gibbs(n, params, seed, init).tobytes()
 
 
 def test_nv_run_basics():
