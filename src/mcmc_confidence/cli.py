@@ -169,38 +169,37 @@ def write_manifest(args) -> None:
                 fh.write(f"{key}={_manifest_value(value)}\n")
 
 
-def read_manifest(path: str) -> tuple[str, dict]:
-    command = None
-    options: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            key, _, value = line.partition("=")
-            if key == "command":
-                command = value
-            else:
-                options[key] = value
-    if command is None:
-        raise ValueError(f"manifest {path} has no command line")
-    return command, options
-
-
 def argv_from_manifest(path: str, out: Optional[str] = None) -> list[str]:
-    """Rebuild the argv of a recorded run, optionally redirecting --out."""
-    command, options = read_manifest(path)
+    """Rebuild the argv of a recorded run, optionally redirecting --out.
+
+    Each recorded key is looked up among the recorded subcommand's own
+    parser actions. A flag that takes no value (``store_true``) replays as
+    its option string when recorded ``true`` and as nothing when ``false``;
+    every other option replays as one ``--name=value`` token, so a value that
+    starts with a dash or reads ``true`` stays a value. Values are taken as
+    written, with only the line end removed. A command or key the parser
+    does not know raises ValueError.
+    """
+    with open(path, "r", encoding="utf-8", newline="\n") as fh:
+        lines = [line.removesuffix("\n") for line in fh]
+    key, _, command = (lines or [""])[0].partition("=")
+    if key != "command":
+        raise ValueError(f"manifest {path} has no command line")
+    commands = next(action for action in build_parser()._actions if action.dest == "command").choices
+    if command not in commands:
+        raise ValueError(f"manifest {path}: unknown command {command!r}")
+    actions = {action.dest: action for action in commands[command]._actions if action.option_strings}
     argv = [command]
-    for key, value in options.items():
-        flag = "--" + key.replace("_", "-")
-        if key == "out":
-            argv += [flag, out if out is not None else value]
+    for key, _, value in (line.partition("=") for line in lines[1:]):
+        if key not in actions:
+            raise ValueError(f"manifest {path}: unknown option {key!r} for {command}")
+        flag = actions[key].option_strings[-1]
+        if actions[key].nargs != 0:
+            argv.append(f"{flag}={out if key == 'out' and out is not None else value}")
         elif value == "true":
             argv.append(flag)
-        elif value == "false":
-            continue
-        else:
-            argv += [flag, value]
+        elif value != "false":
+            raise ValueError(f"manifest {path}: {key} must be true or false, got {value!r}")
     return argv
 
 
@@ -301,7 +300,7 @@ def _read_lines(path: str) -> np.ndarray:
     # field is empty are skipped, a first line that does not parse is a header
     values = []
     isfinite = math.isfinite
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             token = _first_field(raw)
             if token == "":
@@ -327,7 +326,7 @@ def _read_single_column(path: str) -> np.ndarray:
     doubles. When it rejects the file, or the file holds a non-finite value,
     ``_read_lines`` gives the result or names the line at fault.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         first = fh.readline()
     try:
         float(_first_field(first))
@@ -338,7 +337,7 @@ def _read_single_column(path: str) -> np.ndarray:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             values = np.loadtxt(path, delimiter=",", usecols=0, comments=None, ndmin=1, skiprows=skip,
-                                encoding="utf-8")
+                                encoding="utf-8-sig")
     except ValueError:
         return _read_lines(path)
     return values if np.isfinite(values).all() else _read_lines(path)
@@ -392,17 +391,15 @@ def run_mcse(args) -> dict:
     return {"report.txt": report}
 
 
-def _stop_replicate(args, config: StoppingConfig, index: int) -> list[tuple]:
+def _stop_replicate(args, config: StoppingConfig, source: Ar1Source, truths: list, index: int) -> list[tuple]:
     """Rows ``(replicate, probability, terminal_n, half, estimate, converged, covered)``
-    of replicate ``index``, one per target; the probability is None for the mean."""
-    source = Ar1Source(Ar1Params(args.rho, args.tau))
+    of replicate ``index``, one per ``(probability, truth)`` target; the
+    probability is None for the mean."""
     rng = Rng(args.seed).spawn(index)
     if args.target == "mean":
         res = fixed_width_mean(source, config, rng)
-        truths = [(None, source.truth_mean())]
     else:
         res = fixed_width_quantiles(source, args.probabilities, config, rng, args.bonferroni)
-        truths = [(p, source.truth_quantile(p)) for p in args.probabilities]
     return [
         (index, p, res.terminal_n, h, est, res.converged, bool(abs(est - truth) <= h))
         for (p, truth), est, h in zip(truths, res.estimates, res.half_widths)
@@ -416,12 +413,14 @@ def run_stop(args) -> dict:
     config = StoppingConfig(epsilon=args.epsilon, level=args.level, step=args.step, pilot_n=args.pilot,
                             max_n=args.max_n)
     source = Ar1Source(Ar1Params(args.rho, args.tau))
-    if args.target == "quantiles":
-        for p in args.probabilities:  # the covered column needs each true quantile; p = 1 has none
-            source.truth_quantile(p)
+    # the covered column needs each true value; p = 1 has no true quantile
+    if args.target == "mean":
+        truths = [(None, source.truth_mean())]
+    else:
+        truths = [(p, source.truth_quantile(p)) for p in args.probabilities]
 
     reps = args.replications
-    replicate = functools.partial(_stop_replicate, args, config)
+    replicate = functools.partial(_stop_replicate, args, config, source, truths)
     results = None
     if reps >= _POOL_MIN_REPLICATIONS and (os.cpu_count() or 1) > 1:
         try:

@@ -82,7 +82,8 @@ Transform = Optional[Callable[[np.ndarray], np.ndarray]]
 
 @dataclass(frozen=True)
 class McseEstimate:
-    """Standard error of the chain mean plus the layout that produced it."""
+    """Standard error of the chain mean plus the layout that produced it, and
+    the mean of g(x) that ``se`` belongs to."""
 
     se: float
     sigma2_hat: float
@@ -91,6 +92,7 @@ class McseEstimate:
     n: int
     method: str
     warning: bool
+    mean: float
 
 
 @dataclass(frozen=True)
@@ -294,8 +296,10 @@ def _mcse(values, policy: BatchPolicy, g: Transform, kind: str) -> Optional[Mcse
     lay = _layout(x.size, policy, kind)
     if lay is None:
         return None
-    sigma2 = float(_prefix_sigma2(_apply_transform(x, g), lay.b, kind, np.array([lay.n]))[0, 0])
-    return McseEstimate(se=math.sqrt(sigma2 / lay.n), sigma2_hat=sigma2, method=kind, **lay._asdict())
+    gx = _apply_transform(x, g)
+    sigma2 = float(_prefix_sigma2(gx, lay.b, kind, np.array([lay.n]))[0, 0])
+    return McseEstimate(se=math.sqrt(sigma2 / lay.n), sigma2_hat=sigma2, method=kind, mean=float(np.mean(gx)),
+                        **lay._asdict())
 
 
 def mcse_bm(values, policy: BatchPolicy = "sqroot", g: Transform = None) -> Optional[McseEstimate]:
@@ -438,17 +442,14 @@ def ci_mean(
     Degrees of freedom follow the estimator: a - 1 for BM, n - b + 1 for
     OBM. ``level`` is the one-sided t level (0.9 gives an 80% interval).
     """
-    x = _as_values(values)
     meth = method.upper()
     if meth not in ("BM", "OBM"):
         raise ValueError(f"method specified invalid (meth={method})")
-    gx = _apply_transform(x, g)
-    est = (mcse_bm if meth == "BM" else mcse_obm)(gx, policy)
+    est = (mcse_bm if meth == "BM" else mcse_obm)(values, policy, g)
     if est is None:
         return None
     df = est.a - 1 if meth == "BM" else est.a
-    center = float(np.mean(gx))
-    return _t_interval(center, est.se, t_quantile(level, df), df=df, level=level, method=meth, b=est.b, a=est.a)
+    return _t_interval(est.mean, est.se, t_quantile(level, df), df=df, level=level, method=meth, b=est.b, a=est.a)
 
 
 def ci_quantiles(

@@ -125,6 +125,14 @@ def _replay_content(path):
     return b"".join(line for line in lines if not (path.name == "manifest.txt" and line.startswith(b"out=")))
 
 
+def _assert_replay_rewrites_every_file(a, b):
+    names = sorted(p.name for p in a.iterdir())
+    assert "manifest.txt" in names and len(names) > 1
+    assert names == sorted(p.name for p in b.iterdir())
+    for name in names:
+        assert _replay_content(a / name) == _replay_content(b / name), name
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -133,8 +141,9 @@ def _replay_content(path):
         ["gibbs-normal", "--n", 300, "--seed", 100, "--rb-variant", "mixture"],
         ["mcse", "--method", "obm", "--probabilities", "0.5"],
         ["stop", "--target", "mean", "--rho", 0.5, "--replications", 2, "--seed", 5],
+        ["stop", "--target", "quantiles", "--rho", 0.5, "--bonferroni", "--seed", 3],
     ],
-    ids=["tda", "gibbs-normal-plugin", "gibbs-normal-mixture", "mcse", "stop-mean"],
+    ids=["tda", "gibbs-normal-plugin", "gibbs-normal-mixture", "mcse", "stop-mean", "stop-quantiles-bonferroni"],
 )
 def test_manifest_replay_rewrites_every_file(tmp_path, argv):
     a, b = tmp_path / "a", tmp_path / "b"
@@ -144,11 +153,67 @@ def test_manifest_replay_rewrites_every_file(tmp_path, argv):
         argv = argv + ["--input", chain]
     assert run_cli(argv + ["--out", a]) == 0
     assert run_cli(argv_from_manifest(a / "manifest.txt", out=str(b))) == 0
-    names = sorted(p.name for p in a.iterdir())
-    assert names == sorted(p.name for p in b.iterdir())
-    assert len(names) > 1
-    for name in names:
-        assert _replay_content(a / name) == _replay_content(b / name), name
+    _assert_replay_rewrites_every_file(a, b)
+
+
+# what the old hand-written rules misread: a value spelling a flag kind, a
+# value starting with a dash, and a value whose trailing space names another file
+@pytest.mark.parametrize("name", ["true", "-dash.csv", "sp.csv "], ids=["true", "dash", "trailing-space"])
+def test_manifest_replay_takes_each_value_as_written(tmp_path, monkeypatch, capsys, name):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_text("".join(f"{v!r}\n" for v in Rng(3).normals(200).tolist()))
+    (tmp_path / "sp.csv").write_text("".join(f"{v!r}\n" for v in Rng(4).normals(300).tolist()))
+    assert run_cli(["mcse", f"--input={name}", "--out", "a"]) == 0
+    assert capsys.readouterr().out.startswith("n=200\n")
+    replay = argv_from_manifest("a/manifest.txt", out="b")
+    assert replay[:2] == ["mcse", f"--input={name}"]
+    assert run_cli(replay) == 0
+    assert capsys.readouterr().out.startswith("n=200\n")
+    _assert_replay_rewrites_every_file(tmp_path / "a", tmp_path / "b")
+
+
+_REPLAY_IN_A_FRESH_INTERPRETER = (
+    "import sys\n"
+    "from mcmc_confidence.cli import argv_from_manifest, main\n"
+    "argv = argv_from_manifest(sys.argv[1], out=sys.argv[2])\n"
+    "sys.exit(main(argv))\n"
+)
+
+
+@pytest.mark.parametrize("command", ["ar1", "tda", "gibbs-normal", "mcse", "stop"])
+def test_default_run_replays_in_a_fresh_interpreter(tmp_path, command):
+    # the replay builds its parser itself, before any main call in that process
+    a, b = tmp_path / "a", tmp_path / "b"
+    argv = [command, "--out", a]
+    if command == "mcse":
+        chain = tmp_path / "chain.csv"
+        chain.write_text("".join(f"{v!r}\n" for v in Rng(3).normals(500).tolist()))
+        argv += ["--input", chain]
+    assert run_cli(argv) == 0
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", _REPLAY_IN_A_FRESH_INTERPRETER, str(a / "manifest.txt"), str(b)],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    _assert_replay_rewrites_every_file(a, b)
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        (["out=x"], "has no command line"),
+        (["command=bogus", "out=x"], "unknown command 'bogus'"),
+        (["command=ar1", "input=chain.csv", "out=x"], "unknown option 'input' for ar1"),
+        (["command=tda", "n=5", "", "out=x"], "unknown option '' for tda"),
+        (["command=stop", "bonferroni=yes", "out=x"], "bonferroni must be true or false, got 'yes'"),
+    ],
+    ids=["no-command", "command", "option", "blank-line", "flag-value"],
+)
+def test_manifest_the_parser_does_not_know_is_a_value_error(tmp_path, lines, message):
+    path = tmp_path / "manifest.txt"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    with pytest.raises(ValueError, match=message):
+        argv_from_manifest(path)
 
 
 def test_reproduce_all_script_runs_and_its_manifests_replay(tmp_path):
@@ -161,10 +226,7 @@ def test_reproduce_all_script_runs_and_its_manifests_replay(tmp_path):
     for run in runs:
         a, b = root / run, tmp_path / "replay" / run
         assert run_cli(argv_from_manifest(a / "manifest.txt", out=str(b))) == 0, run
-        names = sorted(p.name for p in a.iterdir())
-        assert "manifest.txt" in names and names == sorted(p.name for p in b.iterdir())
-        for name in names:
-            assert _replay_content(a / name) == _replay_content(b / name), (run, name)
+        _assert_replay_rewrites_every_file(a, b)
 
 
 def test_tda_outputs(tmp_path):
@@ -285,6 +347,21 @@ def test_mcse_subcommand_header_row(tmp_path, capsys):
     assert run_cli(["mcse", "--input", path, "--method", "obm", "--batch", 4]) == 0
     report = parse_report(capsys.readouterr().out)
     assert float(report["se"]) == pytest.approx(2.160246899469287, rel=1e-9)
+
+
+@pytest.mark.parametrize("tail", ["", " \n"], ids=["bulk-parse", "line-reader"])
+def test_mcse_subcommand_skips_a_byte_order_mark(tmp_path, capsys, tail):
+    # a trailing whitespace-only line sends the file to the line reader
+    text = "".join(f"{v}\n" for v in range(1, 13)) + tail
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert run_cli(["mcse", "--input", plain]) == 0
+    expected = capsys.readouterr().out
+    assert run_cli(["mcse", "--input", marked]) == 0
+    report = capsys.readouterr().out
+    assert report == expected
+    assert parse_report(report)["n"] == "12" and parse_report(report)["mean"] == "6.5"
 
 
 def test_mcse_subcommand_insufficient_samples(tmp_path, capsys):

@@ -17,10 +17,11 @@ from mcmc_confidence.cli import format_value, main, write_csv
 
 
 def reference_read_single_column(path: str) -> np.ndarray:
-    """The line-by-line reader the bulk reader replaced: the oracle for it."""
+    """The line-by-line reader the bulk reader replaced: the oracle for it.
+    A byte-order mark at the start of the file is not part of line 1."""
     values = []
     isfinite = math.isfinite
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             token = raw.strip().split(",")[0]
             if token == "":

@@ -123,6 +123,16 @@ def test_obm_hand_example():
     assert (est.b, est.a, est.method) == (4, 13, "OBM")
 
 
+def test_estimate_carries_the_mean_its_se_belongs_to():
+    x = ar1_run(2000, Ar1Params(0.5), Rng(3)).values
+    assert mcse_obm(x, g=np.square).mean == float(np.mean(np.square(x)))
+    assert mcse_bm(x).mean == float(np.mean(x))
+    for method in ("BM", "OBM"):
+        assert ci_mean(x, method, g=np.square).center == float(np.mean(np.square(x)))
+    # under MIN_SAMPLES nothing is estimated, so the transform is never applied
+    assert ci_mean(np.zeros(9), "BM", g=np.log) is None
+
+
 def test_transform_scales_bm_exactly():
     est = mcse_bm(X16, 4, g=lambda v: 2.0 * v)
     assert est.se == pytest.approx(2.0 * BM_SE_16, rel=1e-12)
