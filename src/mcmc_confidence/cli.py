@@ -109,6 +109,11 @@ def _keep_freed_heap() -> tuple:
 # serialization helpers ------------------------------------------------------
 
 
+def _tag(p: float) -> str:
+    """Probability ``p`` as it names columns and report keys: 6 significant digits."""
+    return f"{p:g}"
+
+
 def format_value(v) -> str:
     if v is None:
         return "NA"
@@ -226,8 +231,8 @@ def run_ar1(args) -> dict:
 
     header = (
         ["iter", "mean", "se_bm", "se_obm"]
-        + [f"q_{p:g}" for p in probs]
-        + [f"se_q_{p:g}" for p in probs]
+        + [f"q_{_tag(p)}" for p in probs]
+        + [f"se_q_{_tag(p)}" for p in probs]
         + ["mean_lcl_obm", "mean_ucl_obm"]
     )
 
@@ -360,7 +365,7 @@ def run_mcse(args) -> dict:
             f"level={format_value(_RUNNING_LEVEL)}",
         ]
         for iv in intervals:
-            tag = f"{iv.probability:g}"
+            tag = _tag(iv.probability)
             lines += [
                 f"q_{tag}={format_value(iv.center)}",
                 f"se_q_{tag}={format_value(iv.se)}",
@@ -510,6 +515,8 @@ def _probabilities(text: str) -> tuple:
         raise argparse.ArgumentTypeError("need at least one probability")
     if not all(0.0 < p <= 1.0 for p in probs):
         raise argparse.ArgumentTypeError(f"probabilities must lie in (0, 1], got {text!r}")
+    if len({_tag(p) for p in probs}) < len(probs):
+        raise argparse.ArgumentTypeError(f"probabilities must differ in their first 6 significant digits, got {text!r}")
     return probs
 
 

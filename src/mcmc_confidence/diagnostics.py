@@ -201,7 +201,7 @@ def rb_second_moment(y_values) -> np.ndarray:
     y = _chain_1d(y_values)
     if np.any(y <= 0.0):
         raise ValueError("latent values must be strictly positive")
-    return np.cumsum(1.0 / y) / np.arange(1, y.size + 1)
+    return running_mean(1.0 / y)
 
 
 def _gauss_tile(rows, mean, sd, denom, out, scratch) -> None:
@@ -239,11 +239,9 @@ def _gauss_kernel(grid, mean, sd, matrix=None) -> np.ndarray:
     fills it with K in place and returns it; kde_2d passes one block's. A
     row sum adds the C-contiguous row sums of the _KDE_BLOCK blocks in block
     order, as one (grid, block) array per block would, so it depends neither
-    on the tile height nor on which terms a scalar ``sd`` lets
-    _gauss_sums_in_reach skip.
+    on the tile height nor on the terms _gauss_sums_in_reach skips for one
+    scalar ``sd``.
     """
-    if matrix is None and np.ndim(sd) == 0:
-        return _gauss_sums_in_reach(grid, mean, sd)
     mean, sd, denom = np.broadcast_arrays(mean, sd, np.multiply(sd, _SQRT_2PI))
     n = mean.size
     acc = np.zeros(grid.size) if matrix is None else None
@@ -261,6 +259,7 @@ def _gauss_kernel(grid, mean, sd, matrix=None) -> np.ndarray:
     return acc if matrix is None else matrix
 
 
+@np.errstate(over="ignore")  # z * z may overflow; _gauss_tile clamps it
 def _gauss_sums_in_reach(grid, mean: np.ndarray, sd: float) -> np.ndarray:
     """Row sums of _gauss_kernel for one scalar ``sd``, computing only terms in reach.
 
@@ -323,7 +322,7 @@ def rb_marginal_mu(
     flat = gx.reshape(-1)
     if variant == "plugin":
         sd = math.sqrt(float(np.mean(theta)) / m)
-        dens = _gauss_kernel(flat, np.array([y_bar], dtype=float), sd)
+        dens = _gauss_sums_in_reach(flat, np.array([y_bar], dtype=float), sd)
     elif variant == "mixture":
         sds = np.sqrt(theta / m)
         dens = _gauss_kernel(flat, float(y_bar), sds) / theta.size
@@ -355,17 +354,21 @@ def silverman_bandwidth(values, factor: float = 0.9) -> float:
     return factor * spread * x.size ** -0.2
 
 
+def _grid(lo: float, hi: float, n: int) -> np.ndarray:
+    """n evenly spaced points from lo to hi, whose span must be finite."""
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"density grid [{lo}, {hi}] overflows the float range")
+    return np.linspace(lo, hi, n)
+
+
 def kde_1d(samples, n_grid: int = 512) -> Kde1D:
     """Gaussian-kernel density on an even grid spanning the data +/- 3 bandwidths."""
     x = _chain_1d(samples)
     if x.size < 2:
         raise ValueError("density estimation needs at least two samples")
     h = silverman_bandwidth(x)
-    lo, hi = float(x.min()) - 3.0 * h, float(x.max()) + 3.0 * h
-    if not math.isfinite(hi - lo):
-        raise ValueError(f"density grid [{lo}, {hi}] overflows the float range")
-    grid = np.linspace(lo, hi, n_grid)
-    acc = _gauss_kernel(grid, x, h)
+    grid = _grid(float(x.min()) - 3.0 * h, float(x.max()) + 3.0 * h, n_grid)
+    acc = _gauss_sums_in_reach(grid, x, h)
     return Kde1D(x=grid, density=acc / x.size, bandwidth=h)
 
 
@@ -397,11 +400,8 @@ def kde_2d(
         lims = (float(x.min()), float(x.max()), float(y.min()), float(y.max()))
     if not all(math.isfinite(v) for v in lims):
         raise ValueError(f"density limits must be finite, got {tuple(lims)}")
-    for lo, hi in (lims[:2], lims[2:]):
-        if not math.isfinite(hi - lo):
-            raise ValueError(f"density grid [{lo}, {hi}] overflows the float range")
-    gx = np.linspace(lims[0], lims[1], n_grid)
-    gy = np.linspace(lims[2], lims[3], n_grid)
+    gx = _grid(lims[0], lims[1], n_grid)
+    gy = _grid(lims[2], lims[3], n_grid)
     dens = np.zeros((n_grid, n_grid))
     bufs = np.empty((2, n_grid * _KDE_BLOCK))
     for c0 in range(0, x.size, _KDE_BLOCK):

@@ -48,6 +48,7 @@ at some value of the chain.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
@@ -57,9 +58,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .distributions import t_quantile
 
 __all__ = [
-    "MIN_SAMPLES",
-    "SMALL_SAMPLE_WARN",
-    "BatchPolicy",
     "McseEstimate",
     "QuantileSeSet",
     "Interval",
@@ -147,7 +145,7 @@ def batch_layout(n: int, policy: BatchPolicy = "sqroot") -> tuple[int, int]:
         b = math.isqrt(n)
     elif policy == "cuberoot":
         b = _floor_cbrt(n)
-    elif isinstance(policy, (int, float)) and not isinstance(policy, bool):
+    elif isinstance(policy, numbers.Real) and not isinstance(policy, bool):
         b = int(math.floor(policy))
         if b <= 1:
             raise ValueError(f"batch size invalid (bs={policy})")

@@ -21,6 +21,8 @@ from typing import Callable
 
 import numpy as np
 
+__all__ = ["Rng"]
+
 _UINT64_MAX = 2**64 - 1
 
 

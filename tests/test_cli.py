@@ -711,6 +711,9 @@ def test_bad_seed_is_a_usage_error(tmp_path, capsys, command, seed):
         (["stop", "--probabilities", "-0.25"], "--probabilities"),
         (["mcse", "--probabilities", "1.5"], "--probabilities"),
         (["stop", "--max-n", 5], "--max-n"),
+        (["ar1", "--n", 50, "--probabilities", "0.1234567,0.1234568"], "--probabilities"),
+        (["mcse", "--probabilities", "0.25,0.25"], "--probabilities"),
+        (["stop", "--probabilities", "0.5,0.50000001"], "--probabilities"),
     ],
 )
 def test_bad_batch_step_or_pilot_is_a_usage_error(tmp_path, capsys, argv, flag):

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mcmc_confidence import Rng, kde_1d, kde_2d, rb_marginal_mu
-from mcmc_confidence.diagnostics import _EXP_ZERO_BELOW, _KDE_BLOCK, _REACH_Z, _SQRT_2PI, _TILE_ROWS, _gauss_kernel
+from mcmc_confidence.diagnostics import (_EXP_ZERO_BELOW, _KDE_BLOCK, _REACH_Z, _SQRT_2PI, _TILE_ROWS, _gauss_kernel,
+                                         _gauss_sums_in_reach)
 
 BLOCK_EDGES = [_KDE_BLOCK - 1, _KDE_BLOCK, _KDE_BLOCK + 1, 2 * _KDE_BLOCK + 1]
 SIZES = st.one_of(st.sampled_from([2, 3] + BLOCK_EDGES), st.integers(2, 300))
@@ -165,7 +166,9 @@ def reach_cases():
 @pytest.mark.parametrize("grid, mean, sd", reach_cases())
 def test_reach_limited_row_sums_match_full_tiles(grid, mean, sd):
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        assert same_bits(_gauss_kernel(grid, mean, sd), reference_sums(grid, mean, sd))
+        ref = reference_sums(grid, mean, sd)
+        assert same_bits(_gauss_kernel(grid, mean, sd), ref)
+        assert same_bits(_gauss_sums_in_reach(grid, mean, sd), ref)
 
 
 @given(seed=st.integers(0, 10**6), n=st.sampled_from(BLOCK_EDGES), n_grid=st.sampled_from([_TILE_ROWS, _TILE_ROWS + 1, 70]))
@@ -173,4 +176,6 @@ def test_reach_limited_row_sums_match_across_block_and_tile_edges(seed, n, n_gri
     mean = Rng(seed).normals(n)
     mean[: n // 3] *= 40.0  # a wide spread, so tiles skip part of each block
     grid = np.linspace(-60.0, 60.0, n_grid)
-    assert same_bits(_gauss_kernel(grid, mean, 0.5), reference_sums(grid, mean, 0.5))
+    ref = reference_sums(grid, mean, 0.5)
+    assert same_bits(_gauss_kernel(grid, mean, 0.5), ref)
+    assert same_bits(_gauss_sums_in_reach(grid, mean, 0.5), ref)

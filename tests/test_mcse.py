@@ -90,6 +90,8 @@ def test_batch_layout_cuberoot_guard():
 def test_batch_layout_fixed():
     assert batch_layout(100, 7) == (7, 14)
     assert batch_layout(100, 7.9) == (7, 14)  # numeric sizes are floored
+    for size in (5, 5.0, np.int64(5), np.float32(5), np.uint8(5)):
+        assert batch_layout(100, size) == (5, 20)
 
 
 def test_batch_layout_errors():
@@ -101,6 +103,9 @@ def test_batch_layout_errors():
         batch_layout(0, "sqroot")
     with pytest.raises(ValueError):
         batch_layout(100, "bogus")
+    for flag in (True, np.True_):  # a bool is not a batch size
+        with pytest.raises(ValueError, match="unknown batch policy"):
+            batch_layout(100, flag)
 
 
 # BM / OBM ---------------------------------------------------------------------
