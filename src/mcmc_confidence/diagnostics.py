@@ -15,20 +15,21 @@ errors are NaN for prefixes shorter than the estimators' minimum sample
 size.
 
 The density estimators (kde_1d, kde_2d, rb_marginal_mu) share one Gaussian
-kernel core. It streams over blocks of 4096 samples and computes the kernel
-terms on tiles of 16 grid rows by one block, in place in buffers that fit in
-a core's cache, with the same arithmetic, step for step, as the broadcast
-formula exp(-0.5 z^2) / (sd sqrt(2 pi)). Terms whose exponent lies below
--746 are exactly +0.0 and are set without calling exp, which is several
-times slower where its result underflows. A grid point's density adds the
-blocks' row sums, or for kde_2d the blocks' kernel-matrix products, in block
-order. With one bandwidth for every sample (kde_1d), a tile computes only
-the samples within reach, |grid - sample| <= 38.63 bandwidths, beyond which
-the exponent lies below -746: each block is sorted once, and the samples out
-of reach are left as +0.0 terms in their places, so every sum is bit for bit
-the full tile's. Memory is O(grid^2 + grid * block), never O(grid * n). The
-core runs in the calling thread: spread over threads, its wall time would
-hang on whether another CPU is free.
+kernel tile. It computes the kernel terms of 16 grid rows by one block of at
+most 4096 samples, in place in buffers that fit in a core's cache, with the
+same arithmetic, step for step, as the broadcast formula
+exp(-0.5 z^2) / (sd sqrt(2 pi)). Terms whose exponent lies below -746 are
+exactly +0.0 and are set without calling exp, which is several times slower
+where its result underflows. kde_1d and both rb_marginal_mu variants take
+one row-sum path, _gauss_sums: a grid point's density adds the blocks' row
+sums in block order, and a tile computes only the samples within reach,
+|grid - sample| <= 38.63 times the block's largest sd, beyond which the
+exponent lies below -746. Each block is sorted once, and the samples out of
+reach are left as +0.0 terms in their places, so every sum is bit for bit
+the full tile's. kde_2d fills two (grid, block) kernel matrices tile by tile
+and adds their products in block order. Memory is O(grid^2 + grid * block),
+never O(grid * n). The tiles run in the calling thread: spread over threads,
+their wall time would hang on whether another CPU is free.
 """
 
 from __future__ import annotations
@@ -201,7 +202,12 @@ def rb_second_moment(y_values) -> np.ndarray:
     y = _chain_1d(y_values)
     if np.any(y <= 0.0):
         raise ValueError("latent values must be strictly positive")
-    return running_mean(1.0 / y)
+    with np.errstate(over="ignore"):
+        inv = 1.0 / y
+    i = int(np.argmax(inv))  # the smallest y
+    if inv[i] == math.inf:
+        raise ValueError(f"latent value y = {y[i]} at index {i} is so small that 1/y overflows the float range")
+    return running_mean(inv)
 
 
 def _gauss_tile(rows, mean, sd, denom, out, scratch) -> None:
@@ -231,68 +237,47 @@ def _gauss_tile(rows, mean, sd, denom, out, scratch) -> None:
 
 
 @np.errstate(over="ignore")  # z * z may overflow; _gauss_tile clamps it
-def _gauss_kernel(grid, mean, sd, matrix=None) -> np.ndarray:
-    """Normal densities K[i, j] of N(mean[j], sd[j]^2) at every grid point i.
+def _gauss_sums(grid, mean, sd) -> np.ndarray:
+    """Row sums over j of the normal densities of N(mean[j], sd[j]^2) at every grid point.
 
-    ``mean`` and ``sd`` are per-sample arrays or scalars. Returns the row
-    sums sum_j K[i, j] or, when ``matrix`` of shape (grid.size, n) is given,
-    fills it with K in place and returns it; kde_2d passes one block's. A
-    row sum adds the C-contiguous row sums of the _KDE_BLOCK blocks in block
-    order, as one (grid, block) array per block would, so it depends neither
-    on the tile height nor on the terms _gauss_sums_in_reach skips for one
-    scalar ``sd``.
+    ``mean`` and ``sd`` are per-sample arrays or scalars. A row sum adds the
+    C-contiguous row sums of the _KDE_BLOCK blocks in block order, as one
+    (grid, block) array per block would. A term whose mean lies farther than
+    _REACH_Z times its block's largest sd from its grid point has an exponent
+    below _EXP_ZERO_BELOW, so _gauss_tile would make it +0.0; it is skipped.
+    Each block is argsorted by mean once, and each tile of grid rows computes
+    the columns within reach of its rows, one searchsorted slice. A tile with
+    every column in reach runs on the block in sample order; any other tile
+    is scattered into a zeroed (rows, block) array, which then holds the
+    whole tile's terms in their places. Either way the row sums are bit for
+    bit those of the full tile.
     """
-    mean, sd, denom = np.broadcast_arrays(mean, sd, np.multiply(sd, _SQRT_2PI))
-    n = mean.size
-    acc = np.zeros(grid.size) if matrix is None else None
-    buf = np.empty((2, _TILE_ROWS * _KDE_BLOCK))
-    for r0 in range(0, grid.size, _TILE_ROWS):
-        r1 = min(r0 + _TILE_ROWS, grid.size)
-        for c0 in range(0, n, _KDE_BLOCK):
-            c1 = min(c0 + _KDE_BLOCK, n)
-            size = (r1 - r0) * (c1 - c0)
-            scratch = buf[1, :size].reshape(r1 - r0, c1 - c0)
-            out = buf[0, :size].reshape(scratch.shape) if matrix is None else matrix[r0:r1, c0:c1]
-            _gauss_tile(grid[r0:r1], mean[c0:c1], sd[c0:c1], denom[c0:c1], out, scratch)
-            if acc is not None:
-                acc[r0:r1] += out.sum(axis=1)
-    return acc if matrix is None else matrix
-
-
-@np.errstate(over="ignore")  # z * z may overflow; _gauss_tile clamps it
-def _gauss_sums_in_reach(grid, mean: np.ndarray, sd: float) -> np.ndarray:
-    """Row sums of _gauss_kernel for one scalar ``sd``, computing only terms in reach.
-
-    A term whose mean lies farther than _REACH_Z * sd from its grid point has
-    an exponent below _EXP_ZERO_BELOW, so _gauss_tile makes it +0.0. Each
-    block's means are argsorted once; each tile of grid rows computes the
-    columns within reach of its rows, found by two searchsorted calls, and
-    scatters them into a zeroed (rows, block) array. That array holds the
-    whole tile's terms in their places, so its row sums are bit for bit
-    those of the full tile.
-    """
-    reach = _REACH_Z * sd  # may overflow to inf: then every column is in reach
-    denom = sd * _SQRT_2PI
+    mean, sd, denom = np.broadcast_arrays(np.atleast_1d(mean), sd, np.multiply(sd, _SQRT_2PI))
     acc = np.zeros(grid.size)
     buf = np.empty((2, _TILE_ROWS * _KDE_BLOCK))
     for c0 in range(0, mean.size, _KDE_BLOCK):
-        block = mean[c0 : c0 + _KDE_BLOCK]
-        order = np.argsort(block)
-        means = block[order]
-        tile = np.zeros((_TILE_ROWS, block.size))
+        cols = [a[c0 : c0 + _KDE_BLOCK] for a in (mean, sd, denom)]
+        order = np.argsort(cols[0])
+        # a broadcast scalar stays a stride-0 view, which numpy divides by as fast as by a scalar
+        by_mean = [a[order] if a.strides[0] else a for a in cols]
+        reach = _REACH_Z * by_mean[1].max()  # may overflow to inf: then every column is in reach
+        tile = np.empty((_TILE_ROWS, order.size))
         for r0 in range(0, grid.size, _TILE_ROWS):
             rows = grid[r0 : r0 + _TILE_ROWS]
-            lo = int(np.searchsorted(means, rows.min() - reach, side="left"))
-            hi = int(np.searchsorted(means, rows.max() + reach, side="right"))
+            lo = int(np.searchsorted(by_mean[0], rows.min() - reach, side="left"))
+            hi = int(np.searchsorted(by_mean[0], rows.max() + reach, side="right"))
             if lo == hi:
                 continue  # every term is +0.0, and so is every row sum
-            size = rows.size * (hi - lo)
-            out = buf[0, :size].reshape(rows.size, hi - lo)
-            _gauss_tile(rows, means[lo:hi], sd, denom, out, buf[1, :size].reshape(out.shape))
-            part = tile[: rows.size]
-            part[:, order[lo:hi]] = out
-            acc[r0 : r0 + rows.size] += part.sum(axis=1)
-            part.fill(0.0)  # a memset, cheaper than scattering the zeros back
+            out, scratch = (b[: rows.size * (hi - lo)].reshape(rows.size, hi - lo) for b in buf)
+            if hi - lo == order.size:
+                _gauss_tile(rows, *cols, out, scratch)
+            else:
+                _gauss_tile(rows, *(a[lo:hi] for a in by_mean), out, scratch)
+                part = tile[: rows.size]
+                part.fill(0.0)  # a memset, cheaper than scattering the zeros back after the sums
+                part[:, order[lo:hi]] = out
+                out = part
+            acc[r0 : r0 + rows.size] += out.sum(axis=1)
     return acc
 
 
@@ -321,11 +306,9 @@ def rb_marginal_mu(
         raise ValueError("grid holds a non-finite value")
     flat = gx.reshape(-1)
     if variant == "plugin":
-        sd = math.sqrt(float(np.mean(theta)) / m)
-        dens = _gauss_sums_in_reach(flat, np.array([y_bar], dtype=float), sd)
+        dens = _gauss_sums(flat, y_bar, math.sqrt(float(np.mean(theta)) / m))
     elif variant == "mixture":
-        sds = np.sqrt(theta / m)
-        dens = _gauss_kernel(flat, float(y_bar), sds) / theta.size
+        dens = _gauss_sums(flat, y_bar, np.sqrt(theta / m)) / theta.size
     else:
         raise ValueError(f"unknown variant {variant!r}")
     return Kde1D(x=gx, density=dens.reshape(gx.shape), bandwidth=None)
@@ -368,8 +351,7 @@ def kde_1d(samples, n_grid: int = 512) -> Kde1D:
         raise ValueError("density estimation needs at least two samples")
     h = silverman_bandwidth(x)
     grid = _grid(float(x.min()) - 3.0 * h, float(x.max()) + 3.0 * h, n_grid)
-    acc = _gauss_sums_in_reach(grid, x, h)
-    return Kde1D(x=grid, density=acc / x.size, bandwidth=h)
+    return Kde1D(x=grid, density=_gauss_sums(grid, x, h) / x.size, bandwidth=h)
 
 
 def kde_2d(
@@ -404,9 +386,15 @@ def kde_2d(
     gy = _grid(lims[2], lims[3], n_grid)
     dens = np.zeros((n_grid, n_grid))
     bufs = np.empty((2, n_grid * _KDE_BLOCK))
+    scratch = np.empty(_TILE_ROWS * _KDE_BLOCK)
     for c0 in range(0, x.size, _KDE_BLOCK):
         c1 = min(c0 + _KDE_BLOCK, x.size)
         kx, ky = (b[: n_grid * (c1 - c0)].reshape(n_grid, c1 - c0) for b in bufs)
-        dens += _gauss_kernel(gx, x[c0:c1], bx, kx) @ _gauss_kernel(gy, y[c0:c1], by, ky).T
+        with np.errstate(over="ignore"):  # z * z may overflow; _gauss_tile clamps it
+            for k, grid, v, h in ((kx, gx, x, bx), (ky, gy, y, by)):
+                for r0 in range(0, n_grid, _TILE_ROWS):
+                    t = slice(r0, r0 + _TILE_ROWS)
+                    _gauss_tile(grid[t], v[c0:c1], h, h * _SQRT_2PI, k[t], scratch[: k[t].size].reshape(k[t].shape))
+        dens += kx @ ky.T
     dens /= x.size
     return Kde2D(x=gx, y=gy, density=dens, bandwidth_x=bx, bandwidth_y=by)

@@ -146,9 +146,9 @@ def batch_layout(n: int, policy: BatchPolicy = "sqroot") -> tuple[int, int]:
     elif policy == "cuberoot":
         b = _floor_cbrt(n)
     elif isinstance(policy, numbers.Real) and not isinstance(policy, bool):
-        b = int(math.floor(policy))
-        if b <= 1:
+        if not 2 <= policy < math.inf:  # floor(policy) <= 1, inf or nan
             raise ValueError(f"batch size invalid (bs={policy})")
+        b = int(math.floor(policy))
     else:
         raise ValueError(f"unknown batch policy {policy!r}")
     return b, n // b

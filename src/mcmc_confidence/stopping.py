@@ -42,6 +42,9 @@ class StoppingConfig:
             raise ValueError(f"target half-width epsilon must be positive, got {self.epsilon}")
         if not 0.0 < self.level < 1.0:
             raise ValueError(f"level must lie in (0, 1), got {self.level}")
+        for name, count in (("step", self.step), ("pilot_n", self.pilot_n), ("max_n", self.max_n)):
+            if count % 1 != 0:  # also true for inf and nan
+                raise ValueError(f"{name} must be a whole number, got {count}")
         if self.step < 1:
             raise ValueError(f"step must be a positive integer, got {self.step}")
         if self.pilot_n < MIN_SAMPLES:

@@ -196,6 +196,9 @@ def test_rb_second_moment_examples():
         rb_second_moment([1.0, 0.0, 2.0])
     with pytest.raises(ValueError):
         rb_second_moment([1.0, -2.0])
+    # 1/y overflows: the error names the latent value, and no warning comes first
+    with pytest.raises(ValueError, match=r"latent value y = 5e-324 at index 1"):
+        rb_second_moment([1.0, 5e-324])
 
 
 def test_rb_second_moment_long_run():

@@ -14,8 +14,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mcmc_confidence import Rng, kde_1d, kde_2d, rb_marginal_mu
-from mcmc_confidence.diagnostics import (_EXP_ZERO_BELOW, _KDE_BLOCK, _REACH_Z, _SQRT_2PI, _TILE_ROWS, _gauss_kernel,
-                                         _gauss_sums_in_reach)
+from mcmc_confidence.diagnostics import _EXP_ZERO_BELOW, _KDE_BLOCK, _REACH_Z, _SQRT_2PI, _TILE_ROWS, _gauss_sums
 
 BLOCK_EDGES = [_KDE_BLOCK - 1, _KDE_BLOCK, _KDE_BLOCK + 1, 2 * _KDE_BLOCK + 1]
 SIZES = st.one_of(st.sampled_from([2, 3] + BLOCK_EDGES), st.integers(2, 300))
@@ -155,20 +154,26 @@ def reach_cases():
         dists = (_REACH_Z * sd, math.sqrt(-2.0 * _EXP_ZERO_BELOW) * sd, math.sqrt(2.0 * 745.0) * sd)
         edges = [u for d in dists for a in (grid[0] - d, grid[-1] + d, grid[7] + d) for u in ulps_about(a)]
         yield pytest.param(grid, np.array(edges), sd, id=f"ulps about the reach, sd {sd}")
+    # per-sample sds: the reach is the largest sd's, so the samples at the edges of
+    # its reach whose own sd is 50 times smaller give +0.0 terms inside the slice
+    sds = np.resize([0.05, 1e-3], len(edges))
+    yield pytest.param(grid, np.array(edges), sds, id="ulps about the largest sd's reach")
     # two far clusters: the tiles between them have no sample in reach
     clusters = np.concatenate([Rng(7).normals(_KDE_BLOCK + 1), 1e4 + Rng(8).normals(_KDE_BLOCK)])
     yield pytest.param(np.linspace(-50.0, 1e4 + 50.0, 200), clusters, 1.0, id="clusters")
     # the reach overflows to inf: every column is in reach
     yield pytest.param(np.linspace(-1e307, 1e307, _TILE_ROWS + 1), Rng(9).normals(300) * 1e307, 5e306, id="infinite reach")
     yield pytest.param(np.linspace(-1e-308, 1e-308, _TILE_ROWS + 1), Rng(10).normals(300) * 1e-308, 1e-310, id="subnormal sd")
+    # varying means and sds spread over two orders of magnitude, two blocks wide
+    n = 2 * _KDE_BLOCK + 3
+    sds = 0.05 * np.exp(Rng(14).normals(n))
+    yield pytest.param(np.linspace(-4e3, 4e3, 300), Rng(13).normals(n) * 1e3, sds, id="per-sample sd")
 
 
 @pytest.mark.parametrize("grid, mean, sd", reach_cases())
 def test_reach_limited_row_sums_match_full_tiles(grid, mean, sd):
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        ref = reference_sums(grid, mean, sd)
-        assert same_bits(_gauss_kernel(grid, mean, sd), ref)
-        assert same_bits(_gauss_sums_in_reach(grid, mean, sd), ref)
+        assert same_bits(_gauss_sums(grid, mean, sd), reference_sums(grid, mean, sd))
 
 
 @given(seed=st.integers(0, 10**6), n=st.sampled_from(BLOCK_EDGES), n_grid=st.sampled_from([_TILE_ROWS, _TILE_ROWS + 1, 70]))
@@ -176,6 +181,5 @@ def test_reach_limited_row_sums_match_across_block_and_tile_edges(seed, n, n_gri
     mean = Rng(seed).normals(n)
     mean[: n // 3] *= 40.0  # a wide spread, so tiles skip part of each block
     grid = np.linspace(-60.0, 60.0, n_grid)
-    ref = reference_sums(grid, mean, 0.5)
-    assert same_bits(_gauss_kernel(grid, mean, 0.5), ref)
-    assert same_bits(_gauss_sums_in_reach(grid, mean, 0.5), ref)
+    for sd in (0.5, 0.5 * np.exp(Rng(seed + 1).normals(n) / 4)):  # one sd, then one per sample
+        assert same_bits(_gauss_sums(grid, mean, sd), reference_sums(grid, mean, sd))

@@ -97,8 +97,9 @@ def test_batch_layout_fixed():
 def test_batch_layout_errors():
     with pytest.raises(ValueError, match="batch size invalid"):
         batch_layout(100, 1)
-    with pytest.raises(ValueError, match="batch size invalid"):
-        batch_layout(100, 0)
+    for size in (0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="batch size invalid"):
+            batch_layout(100, size)
     with pytest.raises(ValueError):
         batch_layout(0, "sqroot")
     with pytest.raises(ValueError):

@@ -27,8 +27,9 @@ def test_config_validation():
         StoppingConfig(epsilon=math.nan)
     with pytest.raises(ValueError):
         StoppingConfig(level=1.0)
-    with pytest.raises(ValueError):
-        StoppingConfig(step=0)
+    for counts in ({"step": 0}, {"step": 1.5}, {"pilot_n": 100.5}, {"max_n": 4000.5}, {"max_n": math.inf}):
+        with pytest.raises(ValueError):
+            StoppingConfig(**counts)
     with pytest.raises(ValueError):
         StoppingConfig(pilot_n=5)
     with pytest.raises(ValueError):
