@@ -1,8 +1,10 @@
 """Running-estimate diagnostics and density estimation for chain output.
 
 Every ``running_*`` function returns one record per prefix length
-k = 1..n, where record k depends only on the first k values and the last
-record matches the corresponding full-chain computation exactly. The
+k = 1..n, where record k depends only on the first k values. The last
+record of the standard-error sweeps and of running_quantiles matches the
+corresponding full-chain computation exactly; running_mean's sequential
+cumulative sum may differ from np.mean's pairwise sum in the last bits. The
 standard-error sweeps group the prefixes by their sqroot batch size
 b = isqrt(k), which is constant for k in [b^2, (b+1)^2 - 1], and make one
 ``mcse._prefix_sigma2`` call per group: the batch statistics of the group's
@@ -22,14 +24,17 @@ exp(-0.5 z^2) / (sd sqrt(2 pi)). Terms whose exponent lies below -746 are
 exactly +0.0 and are set without calling exp, which is several times slower
 where its result underflows. kde_1d and both rb_marginal_mu variants take
 one row-sum path, _gauss_sums: a grid point's density adds the blocks' row
-sums in block order, and a tile computes only the samples within reach,
+sums in block order, each block summed in stable ascending order of its
+samples' means, and a tile computes only the samples within reach,
 |grid - sample| <= 38.63 times the block's largest sd, beyond which the
-exponent lies below -746. Each block is sorted once, and the samples out of
-reach are left as +0.0 terms in their places, so every sum is bit for bit
-the full tile's. kde_2d fills two (grid, block) kernel matrices tile by tile
-and adds their products in block order. Memory is O(grid^2 + grid * block),
-never O(grid * n). The tiles run in the calling thread: spread over threads,
-their wall time would hang on whether another CPU is free.
+exponent lies below -746. Each block is sorted once, so the samples in reach
+are one contiguous slice and the ones out of reach are +0.0 terms on either
+side of it: every sum is bit for bit the full sorted tile's. For the
+mixture every mean is y_bar, so its order is the sample order. kde_2d fills
+two (grid, block) kernel matrices tile by tile and adds their products in
+block order. Memory is O(grid^2 + grid * block), never O(grid * n). The
+tiles run in the calling thread: spread over threads, their wall time would
+hang on whether another CPU is free.
 """
 
 from __future__ import annotations
@@ -242,41 +247,34 @@ def _gauss_sums(grid, mean, sd) -> np.ndarray:
 
     ``mean`` and ``sd`` are per-sample arrays or scalars. A row sum adds the
     C-contiguous row sums of the _KDE_BLOCK blocks in block order, as one
-    (grid, block) array per block would. A term whose mean lies farther than
-    _REACH_Z times its block's largest sd from its grid point has an exponent
-    below _EXP_ZERO_BELOW, so _gauss_tile would make it +0.0; it is skipped.
-    Each block is argsorted by mean once, and each tile of grid rows computes
-    the columns within reach of its rows, one searchsorted slice. A tile with
-    every column in reach runs on the block in sample order; any other tile
-    is scattered into a zeroed (rows, block) array, which then holds the
-    whole tile's terms in their places. Either way the row sums are bit for
-    bit those of the full tile.
+    (grid, block) array per block would, with each block's samples taken in
+    stable ascending order of mean (tied means keep their sample order). A
+    term whose mean lies farther than _REACH_Z times its block's largest sd
+    from its grid point has an exponent below _EXP_ZERO_BELOW, so _gauss_tile
+    would make it +0.0; it is skipped. The columns within reach of a tile of
+    grid rows are one searchsorted slice [lo, hi) of the sorted block; the
+    tile computes them in place in one reused (rows, block) array and zeroes
+    the columns outside, so each row sum is bit for bit that of the full tile.
     """
     mean, sd, denom = np.broadcast_arrays(np.atleast_1d(mean), sd, np.multiply(sd, _SQRT_2PI))
     acc = np.zeros(grid.size)
     buf = np.empty((2, _TILE_ROWS * _KDE_BLOCK))
     for c0 in range(0, mean.size, _KDE_BLOCK):
         cols = [a[c0 : c0 + _KDE_BLOCK] for a in (mean, sd, denom)]
-        order = np.argsort(cols[0])
+        order = np.argsort(cols[0], kind="stable")
         # a broadcast scalar stays a stride-0 view, which numpy divides by as fast as by a scalar
         by_mean = [a[order] if a.strides[0] else a for a in cols]
         reach = _REACH_Z * by_mean[1].max()  # may overflow to inf: then every column is in reach
-        tile = np.empty((_TILE_ROWS, order.size))
+        tile, scratch = (b[: _TILE_ROWS * order.size].reshape(_TILE_ROWS, order.size) for b in buf)
         for r0 in range(0, grid.size, _TILE_ROWS):
             rows = grid[r0 : r0 + _TILE_ROWS]
             lo = int(np.searchsorted(by_mean[0], rows.min() - reach, side="left"))
             hi = int(np.searchsorted(by_mean[0], rows.max() + reach, side="right"))
             if lo == hi:
                 continue  # every term is +0.0, and so is every row sum
-            out, scratch = (b[: rows.size * (hi - lo)].reshape(rows.size, hi - lo) for b in buf)
-            if hi - lo == order.size:
-                _gauss_tile(rows, *cols, out, scratch)
-            else:
-                _gauss_tile(rows, *(a[lo:hi] for a in by_mean), out, scratch)
-                part = tile[: rows.size]
-                part.fill(0.0)  # a memset, cheaper than scattering the zeros back after the sums
-                part[:, order[lo:hi]] = out
-                out = part
+            out = tile[: rows.size]
+            out[:, :lo] = out[:, hi:] = 0.0  # the terms out of reach
+            _gauss_tile(rows, *(a[lo:hi] for a in by_mean), out[:, lo:hi], scratch[: rows.size, lo:hi])
             acc[r0 : r0 + rows.size] += out.sum(axis=1)
     return acc
 

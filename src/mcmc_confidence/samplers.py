@@ -183,9 +183,16 @@ def nv_gibbs_run(
     out[0, 0], out[0, 1] = mu, theta
     standard_gamma, standard_normal = rng.standard_draws()
     # numpy's gamma and normal arithmetic, as in tda_run
-    for i in range(1, n):
-        theta = 1.0 / ((1.0 / (0.5 * m * (s2 + (y_bar - mu) ** 2))) * standard_gamma(shape))
-        mu = y_bar + math.sqrt(theta / m) * standard_normal()
-        out[i, 0] = mu
-        out[i, 1] = theta
+    try:
+        for i in range(1, n):
+            theta = 1.0 / ((1.0 / (0.5 * m * (s2 + (y_bar - mu) ** 2))) * standard_gamma(shape))
+            mu = y_bar + math.sqrt(theta / m) * standard_normal()
+            out[i, 0] = mu
+            out[i, 1] = theta
+    except (OverflowError, ZeroDivisionError):  # (y_bar - mu) ** 2 overflows, or the rate does and theta divides by 0
+        raise ValueError(
+            f"Gamma rate m (s2 + (y_bar - mu)^2) / 2 overflows the float range at state index {i} (mu = {mu})"
+        ) from None
+    if theta == math.inf:  # theta = rate / draw overflowed in the last update, so no later rate raised
+        raise ValueError(f"theta = rate / Gamma draw overflows the float range at state index {n - 1}")
     return Chain(out)

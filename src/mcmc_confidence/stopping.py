@@ -24,7 +24,6 @@ import numpy as np
 
 from .mcse import MIN_SAMPLES, Interval, ci_mean, ci_quantiles
 from .rng import Rng
-from .samplers import Chain
 
 __all__ = ["StoppingConfig", "StoppingResult", "fixed_width_mean", "fixed_width_quantiles"]
 
@@ -61,7 +60,6 @@ class StoppingResult:
     estimates: np.ndarray
     converged: bool
     trace: list = field(default_factory=list)  # (N, half) at every check
-    chain: Chain | None = None
 
 
 def _grow(
@@ -85,7 +83,6 @@ def _grow(
         estimates=np.array([iv.center for iv in ivs]),
         converged=half + 1.0 / n <= config.epsilon,
         trace=trace,
-        chain=chain,
     )
 
 

@@ -1,9 +1,11 @@
 """Property tests for the shared Gaussian-kernel core: kde_1d and both
-rb_marginal_mu variants equal the plain broadcast formula bit for bit, and
-kde_2d equals the sum of one broadcast-formula GEMM per sample block, on
-chains whose far outliers make kernel terms underflow to zero, to subnormals,
-or overflow the exponent to -inf. The row sums that skip the terms out of
-reach equal the full tiles' bit for bit at the edges of the reach."""
+rb_marginal_mu variants equal the plain broadcast formula bit for bit, with
+each block's samples taken in stable ascending order of mean, and kde_2d
+equals the sum of one broadcast-formula GEMM per sample block, on chains
+whose far outliers make kernel terms underflow to zero, to subnormals, or
+overflow the exponent to -inf. The row sums that skip the terms out of reach
+equal the full sorted tiles' bit for bit at the edges of the reach, and kde_1d
+is within 1e-13 of an exact sum of its terms."""
 
 import math
 import tracemalloc
@@ -31,11 +33,12 @@ def reference_pdf(grid, mean, sd):
 
 
 def reference_sums(grid, mean, sd):
-    # one (grid, block) array per block, its row sums added in block order
+    # one (grid, block) array per block, its samples in stable ascending order
+    # of mean, its row sums added in block order
     mean, sd = np.broadcast_arrays(mean, sd)
     acc = np.zeros(grid.size)
     for start in range(0, mean.size, _KDE_BLOCK):
-        block = slice(start, start + _KDE_BLOCK)
+        block = start + np.argsort(mean[start : start + _KDE_BLOCK], kind="stable")
         acc += reference_pdf(grid[:, None], mean[None, block], sd[None, block]).sum(axis=1)
     return acc
 
@@ -86,6 +89,36 @@ def test_kde_2d_is_accurate_against_an_exact_sum():
     exact = np.array([[math.fsum(kx[i] * ky[j]) for j in range(est.y.size)] for i in range(est.x.size)]) / n
     assert np.all(exact > 0.0)
     assert np.max(np.abs(est.density - exact) / exact) < 1e-13
+
+
+@pytest.mark.parametrize("shape", ["normal", "shifted chi-square"])
+def test_kde_1d_is_accurate_against_an_exact_sum(shape):
+    # every term is nonnegative, so the blocked pairwise sums are within about
+    # n * 2^-53 of the exact sum; seen: 4.2e-16 and 3.3e-16 at this size
+    n = 3 * _KDE_BLOCK + 7
+    x = Rng(3).normals(n) if shape == "normal" else np.square(Rng(4).normals(n)) + 1.0
+    est = kde_1d(x, n_grid=64)
+    terms = reference_pdf(est.x[:, None], x[None, :], est.bandwidth)
+    exact = np.array([math.fsum(row) for row in terms]) / x.size
+    assert np.all(exact > 0.0)
+    assert np.max(np.abs(est.density - exact) / exact) < 1e-13
+
+
+@given(seed=st.integers(0, 10**6), n=st.sampled_from([300] + BLOCK_EDGES))
+def test_sums_do_not_depend_on_the_sample_order_within_a_block(seed, n):
+    # a tenth of the samples spread wide, so the IQR, not the sd (whose sum
+    # depends on the order), sets the bandwidth, and tiles skip part of each block
+    x = Rng(seed).normals(n)
+    x[::10] *= 40.0
+    shuffled = x.copy()
+    perm = np.random.default_rng(seed)
+    for start in range(0, n, _KDE_BLOCK):
+        shuffled[start : start + _KDE_BLOCK] = perm.permutation(x[start : start + _KDE_BLOCK])
+    grid = np.linspace(-60.0, 60.0, 70)
+    assert same_bits(_gauss_sums(grid, shuffled, 0.5), _gauss_sums(grid, x, 0.5))
+    est, est_shuffled = kde_1d(x, n_grid=70), kde_1d(shuffled, n_grid=70)
+    assert est.bandwidth == est_shuffled.bandwidth
+    assert same_bits(est_shuffled.density, est.density)
 
 
 def test_kde_2d_memory_scales_with_grid_times_block_not_grid_times_n():

@@ -308,6 +308,26 @@ def test_nv_run_basics():
         nv_gibbs_run(5, params, Rng(0), init=(0.0, 0.0))
 
 
+RATE = "Gamma rate m (s2 + (y_bar - mu)^2) / 2 overflows the float range at state index {} (mu = {})"
+
+
+@pytest.mark.parametrize(
+    "params, n, message",
+    [
+        (NormalPosteriorParams(y_bar=1e300), 50, RATE.format(1, 1.0)),  # (y_bar - mu) ** 2 overflows
+        (NormalPosteriorParams(y_bar=1e154), 50, RATE.format(1, 1.0)),  # the rate overflows to inf
+        (NormalPosteriorParams(s2=1e308), 50, RATE.format(1, 1.0)),
+        # a finite rate over a small draw overflows theta at state 11, and the next rate with it
+        (NormalPosteriorParams(m=3, s2=1e306), 50, RATE.format(12, math.inf)),
+        (NormalPosteriorParams(m=3, s2=1e306), 12, "theta = rate / Gamma draw overflows the float range at state index 11"),
+    ],
+)
+def test_nv_gibbs_run_reports_an_overflowing_update(params, n, message):
+    with pytest.raises(ValueError) as exc:
+        nv_gibbs_run(n, params, Rng(3))
+    assert str(exc.value) == message
+
+
 def test_nv_long_run_mean_mu():
     chain = nv_gibbs_run(10**5, NormalPosteriorParams(m=11, y_bar=1.0, s2=4.0), Rng(77))
     assert abs(float(np.mean(chain.values[:, 0])) - 1.0) < 0.05

@@ -20,6 +20,15 @@ def make_source(rho, tau=1.0):
     return Ar1Source(Ar1Params(rho, tau))
 
 
+def grown_chain(source, config, seed, terminal_n):
+    # the chain a rule grew to terminal_n: the pilot, then one step per check, from the same seed
+    rng = Rng(seed)
+    chain = source.start(config.pilot_n, rng)
+    while len(chain) < terminal_n:
+        chain = source.extend(chain, config.step, rng)
+    return chain.values
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         StoppingConfig(epsilon=0.0)
@@ -91,8 +100,9 @@ def test_mean_interval_result_fields():
     res = fixed_width_mean(source, config, Rng(13))
     assert res.half_widths.shape == (1,)
     assert res.estimates.shape == (1,)
-    assert res.chain is not None and len(res.chain) == res.terminal_n
-    assert res.estimates[0] == pytest.approx(float(np.mean(res.chain.values)))
+    chain = grown_chain(source, config, 13, res.terminal_n)
+    assert chain.size == res.terminal_n
+    assert res.estimates[0] == pytest.approx(float(np.mean(chain)))
 
 
 def test_mean_stopping_coverage_at_moderate_correlation():
@@ -178,10 +188,11 @@ def test_rules_report_the_intervals_of_ci_mean_and_ci_quantiles(target, bonferro
         res = fixed_width_quantiles(source, target, config, Rng(41), bonferroni=bonferroni)
         intervals = lambda v: ci_quantiles(v, target, config.level, bonferroni)  # noqa: E731
     assert len(res.trace) > 1
-    final = intervals(res.chain.values)
+    chain = grown_chain(source, config, 41, res.terminal_n)
+    final = intervals(chain)
     assert res.half_widths.tobytes() == np.array([iv.half_width for iv in final]).tobytes()
     assert res.estimates.tobytes() == np.array([iv.center for iv in final]).tobytes()
     assert res.half_width == max(iv.half_width for iv in final)
     for n, half in res.trace:
-        assert half == max(iv.half_width for iv in intervals(res.chain.values[:n]))
+        assert half == max(iv.half_width for iv in intervals(chain[:n]))
     assert res.trace[-1] == (res.terminal_n, res.half_width)
