@@ -54,6 +54,7 @@ from .mcse import (
     _prefix_sigma2,
     _quantile_probs,
     _type1_index,
+    _unit_exponent,
 )
 
 __all__ = [
@@ -179,7 +180,10 @@ def acf(values, max_lag: Optional[int] = None) -> np.ndarray:
     """Sample autocorrelations r_0..r_max_lag.
 
     r_k = sum_{t<=n-k} (x_t - xbar)(x_{t+k} - xbar) / sum (x_t - xbar)^2;
-    default max_lag is floor(10 * log10(n)).
+    default max_lag is floor(10 * log10(n)). r_k does not depend on the
+    chain's scale, so it is computed on the chain scaled to unit magnitude
+    (``mcse._unit_exponent``): every power-of-two scale of a chain gives the
+    same bits, and only a constant chain raises ValueError.
     """
     x = _chain_1d(values)
     n = x.size
@@ -188,11 +192,9 @@ def acf(values, max_lag: Optional[int] = None) -> np.ndarray:
         max_lag = min(max_lag, n - 1)
     if not 0 <= max_lag < n:
         raise ValueError(f"max_lag must satisfy 0 <= max_lag < n, got {max_lag} (n={n})")
-    with np.errstate(over="ignore", invalid="ignore"):
-        xc = x - x.mean()
-        denom = float(np.dot(xc, xc))
-    if not math.isfinite(denom):
-        raise ValueError("autocorrelation overflows the float range: the chain's squared deviations are too large")
+    x = np.ldexp(x, -_unit_exponent(x))
+    xc = x - x.mean()
+    denom = float(np.dot(xc, xc))
     if denom == 0.0:
         raise ValueError("autocorrelation is undefined for a zero-variance chain")
     return np.array([float(np.dot(xc[: n - k], xc[k:])) / denom for k in range(max_lag + 1)])

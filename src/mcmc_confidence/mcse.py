@@ -36,6 +36,11 @@ row r of the O(a) scan depends only on rows 0..r, so one scan serves every
 prefix with the same batch size, bit for bit: a direct call reads one row
 of it, the ``running_*`` sweeps in ``diagnostics`` one row per prefix.
 
+Every sigma2 is computed on the chain scaled by a power of two to unit
+magnitude and scaled back, so sigma2(x * 2^k) is sigma2(x) * 2^2k rounded
+once wherever x * 2^k keeps the bits of x, and only a sigma2 that itself
+overflows the float range raises.
+
 Every standard error is sqrt(sigma2 / n). Chains shorter than
 ``MIN_SAMPLES`` do not produce a number: estimators return ``None`` (the
 absent-value sentinel; the CLI serializes it as "NA"). Chains shorter
@@ -256,12 +261,15 @@ def _batch_stats(x: np.ndarray, b: int, kind: str, n: int, probabilities=()) -> 
     return ((cs[b:] - cs[:-b]) / b)[:, None]
 
 
-def _sigma2_rows(x: np.ndarray, b: int, kind: str, ks: np.ndarray, probabilities) -> np.ndarray:
-    a = _batch_count(ks, b, kind)
-    with np.errstate(over="ignore", invalid="ignore"):
-        ss = _sum_sq_scan(_batch_stats(x, b, kind, ks[-1], probabilities))[a - 1]
-        k, a = ks[:, None], a[:, None]
-        return b * ss / (a - 1) if kind == "BM" else k * b * ss / ((a - 1) * a)
+def _unit_exponent(x: np.ndarray) -> int:
+    """e with 2^e just above max|x|, so x * 2^-e lies in (-1, 1).
+
+    A power of two rounds the same at every step, so a dispersion of
+    x * 2^-e scaled back by 2^2e is the one an unbounded exponent range
+    would give, rounded once. It cannot overflow, and only deviations below
+    about 2^-511 max|x| lose bits, where their squares underflow.
+    """
+    return math.frexp(float(max(x.max(), -x.min())))[1]
 
 
 def _prefix_sigma2(x: np.ndarray, b: int, kind: str, ks: np.ndarray, probabilities=()) -> np.ndarray:
@@ -271,21 +279,25 @@ def _prefix_sigma2(x: np.ndarray, b: int, kind: str, ks: np.ndarray, probabiliti
     One scan of the longest prefix's statistics serves them all: prefix k,
     with a = _batch_count(k, b, kind) batches, reads row a - 1 and takes
     b * S / (a - 1) for BM blocks, k * b * S / ((a - 1) * a) for OBM and
-    subsampling windows. A row whose products overflow is computed again on
-    x * 2^-e, with 2^e just above max|x|, and multiplied back by 2^2e: a power
-    of two rounds the same at every step, so this is the sigma2 an unbounded
-    exponent range would give. A sigma2 still beyond the float range raises
-    ValueError.
+    subsampling windows. Everything up to that formula runs on the longest
+    prefix scaled to unit magnitude (``_unit_exponent``), and sigma2 is
+    scaled back: sigma2(x * 2^k) is sigma2(x) * 2^2k rounded once, bit for
+    bit. A sigma2 beyond the float range raises ValueError. A prefix keeps
+    the bits of a direct call unless the longest prefix is more than about
+    2^500 times larger than it, which drives its squared deviations below
+    the normal range.
     """
-    sigma2 = _sigma2_rows(x, b, kind, ks, probabilities)
-    bad = ~np.isfinite(sigma2).all(axis=1)
-    if bad.any():
-        e = math.frexp(float(np.max(np.abs(x[: ks[-1]]))))[1]
-        with np.errstate(over="ignore"):
-            sigma2[bad] = np.ldexp(_sigma2_rows(np.ldexp(x, -e), b, kind, ks[bad], probabilities), 2 * e)
-        if not np.isfinite(sigma2).all():
-            raise ValueError(f"sigma2 overflows the float range: the chain's squared deviations are too large "
-                             f"(batch size {b})")
+    x = x[: ks[-1]]
+    e = _unit_exponent(x)
+    k = ks[:, None]
+    a = _batch_count(k, b, kind)
+    # the scaled chain is a temporary, freed before the scan allocates
+    ss = _sum_sq_scan(_batch_stats(np.ldexp(x, -e), b, kind, x.size, probabilities))[a[:, 0] - 1]
+    with np.errstate(over="ignore"):
+        sigma2 = np.ldexp(b * ss / (a - 1) if kind == "BM" else k * b * ss / ((a - 1) * a), 2 * e)
+    if not np.isfinite(sigma2).all():
+        raise ValueError(f"sigma2 overflows the float range: the chain's squared deviations are too large "
+                         f"(batch size {b})")
     return sigma2
 
 

@@ -142,8 +142,8 @@ def tda_run(n: int, rng: Rng, init: tuple[float, float] = (1.0, 1.0)) -> Chain:
     if n < 1:
         raise ValueError(f"chain length must be positive, got {n}")
     x, y = float(init[0]), float(init[1])
-    if y <= 0.0:
-        raise ValueError(f"latent coordinate y must be positive, got {y}")
+    if not (math.isfinite(x) and 0.0 < y < math.inf):
+        raise ValueError(f"init needs a finite x and a positive, finite latent y, got ({x}, {y})")
     out = np.empty((n, 2))
     out[0, 0], out[0, 1] = x, y
     standard_gamma, standard_normal = rng.standard_draws()
@@ -175,8 +175,8 @@ def nv_gibbs_run(
     if n < 1:
         raise ValueError(f"chain length must be positive, got {n}")
     mu, theta = float(init[0]), float(init[1])
-    if theta <= 0.0:
-        raise ValueError(f"variance coordinate theta must be positive, got {theta}")
+    if not (math.isfinite(mu) and 0.0 < theta < math.inf):
+        raise ValueError(f"init needs a finite mean mu and a positive, finite variance theta, got ({mu}, {theta})")
     m, y_bar, s2 = params.m, params.y_bar, params.s2
     shape = 0.5 * (m - 1)
     out = np.empty((n, 2))

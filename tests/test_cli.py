@@ -74,6 +74,13 @@ def test_ar1_outputs(tmp_path):
     assert float(acf_rows[0][1]) == 1.0
 
 
+def test_ar1_of_one_state_writes_an_absent_autocorrelation(tmp_path):
+    # a one-state chain is constant: its acf.csv holds lag 0 and NA
+    out = tmp_path / "one"
+    assert run_cli(["ar1", "--n", 1, "--out", out]) == 0
+    assert read_bytes(out / "acf.csv") == b"lag,r\n0,NA\n"
+
+
 def test_ar1_deterministic_and_replayable(tmp_path):
     a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
     args = ["ar1", "--rho", 0.95, "--n", 150, "--seed", 1976]
@@ -106,7 +113,7 @@ def test_running_interval_columns_match_direct_obm_intervals():
 
 
 def test_ar1_whose_sigma2_products_overflow_writes_finite_standard_errors(tmp_path):
-    # at tau = 1e150 the OBM and subsampling products k * b * S overflow while sigma2 fits
+    # at tau = 1e150 the unscaled OBM and subsampling products k * b * S would overflow while sigma2 fits
     out = tmp_path / "big"
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -809,6 +816,28 @@ def test_pooled_stop_writes_the_same_bytes_as_serial_stop(tmp_path, monkeypatch)
     assert len(pools) == pooled_runs  # the serial run made no pool
     for name in ("results.csv", "summary.csv"):
         assert read_bytes(pooled / name) == read_bytes(serial / name)
+
+
+def test_stop_without_a_process_pool_runs_serially(tmp_path, monkeypatch):
+    from mcmc_confidence import cli
+
+    tried = []
+
+    def no_pool(*args, **kwargs):
+        tried.append(kwargs)
+        raise OSError("no semaphores")
+
+    argv = ["stop", "--epsilon", 0.5, "--replications", 16, "--seed", 21]
+    serial, fallback = tmp_path / "serial", tmp_path / "fallback"
+    monkeypatch.setattr(cli, "_POOL_MIN_REPLICATIONS", 17)
+    assert run_cli(argv + ["--out", serial]) == 0
+    monkeypatch.setattr(cli, "_POOL_MIN_REPLICATIONS", 16)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", no_pool)
+    assert run_cli(argv + ["--out", fallback]) == 0
+    assert len(tried) == 1
+    for name in ("results.csv", "summary.csv"):
+        assert read_bytes(fallback / name) == read_bytes(serial / name)
 
 
 class _LibcWithoutMallopt:

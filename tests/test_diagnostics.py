@@ -130,6 +130,20 @@ def test_running_quantile_se_prefix_consistency(seed, n):
         assert out[k - 1, 0] == subsample_quantile_se(x[:k], (0.5,)).ses[0]
 
 
+def test_running_records_match_direct_calls_across_a_change_of_scale():
+    # from the middle of the b = 22 group (k = 484..528) on, the chain is 2^300
+    # times larger, so the group's longest prefix is scaled by another power
+    # of two than its shorter prefixes are in direct calls
+    x = ar1_run(560, Ar1Params(0.5), Rng(3)).values
+    x[505:] *= 2.0**300
+    bm, obm = running_mcse(x, "BM"), running_mcse(x, "OBM")
+    qse = running_quantile_se(x, (0.25, 0.75))
+    for k in range(10, x.size + 1):
+        assert bm[k - 1] == mcse_bm(x[:k]).se, k
+        assert obm[k - 1] == mcse_obm(x[:k]).se, k
+        assert np.array_equal(qse[k - 1], subsample_quantile_se(x[:k], (0.25, 0.75)).ses), k
+
+
 # autocorrelation ----------------------------------------------------------------
 
 
@@ -173,12 +187,20 @@ def test_acf_errors():
         acf(np.arange(10.0), max_lag=-1)
 
 
+def test_acf_does_not_depend_on_a_power_of_two_scale():
+    x = ar1_run(2000, Ar1Params(0.5), Rng(3)).values
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in (-1000, -900, -500, 500, 900, 1000):
+            assert np.array_equal(acf(x * 2.0**k), acf(x)), k
+
+
 def test_overflowing_chain_is_a_value_error():
     x = ar1_run(400, Ar1Params(0.5, 1e200), Rng(8)).values
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="^autocorrelation overflows the float range"):
-            acf(x)
+        # r_k does not depend on the scale: the chain scaled to unit magnitude gives the same bits
+        assert np.array_equal(acf(x), acf(np.ldexp(x, -670)))
         for sweep in (lambda v: running_mcse(v, "BM"), lambda v: running_mcse(v, "OBM"),
                       lambda v: running_mcse(v / 1e100, "OBM", g=np.exp),
                       lambda v: running_quantile_se(v, (0.25, 0.75))):

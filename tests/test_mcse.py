@@ -19,6 +19,7 @@ from mcmc_confidence import (
     running_quantile_se,
     subsample_quantile_se,
 )
+from mcmc_confidence.mcse import _prefix_sigma2
 
 X16 = np.arange(1.0, 17.0)
 X10 = np.arange(1.0, 11.0)
@@ -428,9 +429,29 @@ def test_large_finite_chains_scale_exactly():
     assert np.array_equal(subsample_quantile_se(x * scale).ses, subsample_quantile_se(x).ses * scale)
 
 
+def test_sigma2_is_exact_under_every_power_of_two_scale():
+    # sigma2(x * 2^k) is sigma2(x) * 2^2k rounded once, for sigma2 from below
+    # the subnormal range up to 2^1000
+    x = ar1_run(2000, Ar1Params(0.5), Rng(3)).values
+    b, probs, ks = math.isqrt(x.size), (0.25, 0.75), np.array([x.size])
+    bm, obm = mcse_bm(x).sigma2_hat, mcse_obm(x).sigma2_hat
+    sub = _prefix_sigma2(x, b, "SUB", ks, probs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in range(-600, 501, 10):
+            y = x * 2.0**k
+            assert mcse_bm(y).sigma2_hat == math.ldexp(bm, 2 * k), k
+            assert mcse_obm(y).sigma2_hat == math.ldexp(obm, 2 * k), k
+            assert np.array_equal(_prefix_sigma2(y, b, "SUB", ks, probs), np.ldexp(sub, 2 * k)), k
+        # a sigma2 in the subnormal range is that subnormal, not 0
+        z = ar1_run(5000, Ar1Params(0.9), Rng(3)).values
+        tiny = mcse_obm(z * 2.0**-540).sigma2_hat
+        assert tiny == math.ldexp(mcse_obm(z).sigma2_hat, -1080) > 0.0
+
+
 def test_sigma2_whose_products_overflow_is_scaled_back_exactly():
-    # at 2^500, k * b * S overflows although sigma2 itself fits; the rows are
-    # computed again on a power-of-two-scaled chain and scaled back bit for bit
+    # at 2^500, k * b * S of the unscaled chain would overflow although sigma2
+    # itself fits; every row is computed at unit scale and scaled back bit for bit
     x = ar1_run(10**4, Ar1Params(0.9), Rng(3)).values
     big = x * 2.0**500
     with warnings.catch_warnings():
@@ -438,8 +459,9 @@ def test_sigma2_whose_products_overflow_is_scaled_back_exactly():
         for estimate in (mcse_bm, mcse_obm):
             assert estimate(big).sigma2_hat == estimate(x).sigma2_hat * 2.0**1000
         assert np.array_equal(subsample_quantile_se(big).ses, subsample_quantile_se(x).ses * 2.0**500)
-        # at 2^480 a sweep's b = 22 group overflows at some prefixes and not
-        # at others; every row stays the unscaled one times the scale
+        # at 2^480 the unscaled products of a sweep's b = 22 group would
+        # overflow at some prefixes and not at others; every row stays the
+        # unscaled one times the scale
         head, scale = x[:3000], 2.0**480
         assert np.array_equal(running_mcse(head * scale, "OBM"), running_mcse(head, "OBM") * scale, equal_nan=True)
         ses = running_quantile_se(head * scale, (0.5,))

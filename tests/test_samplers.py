@@ -328,6 +328,23 @@ def test_nv_gibbs_run_reports_an_overflowing_update(params, n, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize(
+    "run, message",
+    [
+        (lambda init: tda_run(3, Rng(3), init=init), "init needs a finite x and a positive, finite latent y"),
+        (lambda init: nv_gibbs_run(3, NormalPosteriorParams(), Rng(3), init=init),
+         "init needs a finite mean mu and a positive, finite variance theta"),
+    ],
+    ids=["tda", "nv_gibbs"],
+)
+@pytest.mark.parametrize("init", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)],
+                         ids=["nan-1", "inf-1", "1-nan", "1-inf"])
+def test_samplers_reject_a_non_finite_init(run, message, init):
+    with pytest.raises(ValueError) as exc:
+        run(init)
+    assert str(exc.value) == f"{message}, got {init}"
+
+
 def test_nv_long_run_mean_mu():
     chain = nv_gibbs_run(10**5, NormalPosteriorParams(m=11, y_bar=1.0, s2=4.0), Rng(77))
     assert abs(float(np.mean(chain.values[:, 0])) - 1.0) < 0.05
