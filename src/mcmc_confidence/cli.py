@@ -12,10 +12,10 @@ batch sizes) before any input is read. Numbers are serialized with 10
 significant digits, missing values as the literal token "NA", lines end
 with LF.
 
-CSV is written a column at a time: ``write_csv`` takes one 1-D array per
-column and formats each in one pass chosen by its dtype (floats, integers;
-anything else value by value through ``format_value``), a bounded chunk of
-rows at a time. ``mcse --input`` parses its file in one bulk ``np.loadtxt``
+CSV is written a bounded chunk of rows at a time: ``write_csv`` takes one
+1-D array per column and spells each chunk with one printf template, whose
+conversion for a column is chosen by its dtype (``%.10g`` for floats, ``%d``
+for integers, ``format_value`` for anything else). ``mcse --input`` parses its file in one bulk ``np.loadtxt``
 pass. A file that pass rejects (a whitespace-only line, say) is read again
 by the line loop, so the rules and the error messages are those of the
 line-by-line reader; one trailing whitespace-only line takes a 10^6-row
@@ -32,6 +32,7 @@ import argparse
 import concurrent.futures
 import ctypes
 import functools
+import itertools
 import math
 import os
 import sys
@@ -51,7 +52,7 @@ from .diagnostics import (
     running_quantile_se,
     running_quantiles,
 )
-from .distributions import t_quantile
+from .distributions import t_quantiles
 from .mcse import MIN_SAMPLES, _batch_count, ci_mean, ci_quantiles, quantiles_type1
 from .rng import Rng
 from .samplers import Ar1Params, Ar1Source, NormalPosteriorParams, ar1_run, nv_gibbs_run, tda_run
@@ -127,26 +128,33 @@ def format_value(v) -> str:
     return f"{f:.10g}"
 
 
-def _format_column(column) -> list[str]:
-    # the strings format_value gives, in one pass per column for numeric arrays
+def _cell_format(column) -> str:
+    # the printf conversion that spells a column's cells as format_value does, NaN aside
     kind = column.dtype.kind if isinstance(column, np.ndarray) else None
-    if kind == "f":
-        return ["NA" if v != v else format(v, ".10g") for v in column.astype(float, copy=False).tolist()]
-    if kind in ("i", "u"):
-        return list(map(str, column.tolist()))
-    return [format_value(v) for v in column]
+    return "%.10g" if kind == "f" else "%d" if kind in ("i", "u") else "%s"
 
 
 def write_csv(path: str, header: Sequence[str], columns: Sequence) -> None:
-    """Write equal-length columns (1-D arrays or sequences) as CSV rows under ``header``."""
+    """Write equal-length columns (1-D arrays or sequences) as CSV rows under ``header``.
+
+    One printf template per file spells a row: ``%.10g`` for float arrays,
+    ``%d`` for integer arrays, and ``%s`` of ``format_value`` for anything
+    else. Each chunk of rows is one ``%`` of the template repeated per row;
+    ``%g`` spells NaN ``nan``, which no other cell contains, so one replace
+    turns it into ``NA``.
+    """
     n = len(columns[0]) if len(columns) else 0
     if any(len(column) != n for column in columns):
         raise ValueError(f"columns of {path} differ in length: {[len(c) for c in columns]}")
+    formats = [_cell_format(column) for column in columns]
+    row = ",".join(formats) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, n, _WRITE_CHUNK_ROWS):
-            cells = [_format_column(column[start : start + _WRITE_CHUNK_ROWS]) for column in columns]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            stop = min(start + _WRITE_CHUNK_ROWS, n)
+            cells = [column[start:stop].tolist() if spec != "%s" else [format_value(v) for v in column[start:stop]]
+                     for column, spec in zip(columns, formats)]
+            fh.write((row * (stop - start) % tuple(itertools.chain.from_iterable(zip(*cells)))).replace("nan", "NA"))
 
 
 def _manifest_value(v) -> str:
@@ -223,9 +231,10 @@ def run_ar1(args) -> dict:
     se_obm = running_mcse(x, "OBM")
     qs = running_quantiles(x, probs)
     q_ses = running_quantile_se(x, probs)
+    # each prefix's OBM df, k - isqrt(k) + 1; float sqrt gives isqrt exactly below 2^52
+    k = iters[MIN_SAMPLES - 1 :]
     crit = np.full(n, np.nan)
-    for k in range(MIN_SAMPLES, n + 1):
-        crit[k - 1] = t_quantile(_RUNNING_LEVEL, _batch_count(k, math.isqrt(k), "OBM"))
+    crit[MIN_SAMPLES - 1 :] = t_quantiles(_RUNNING_LEVEL, _batch_count(k, np.sqrt(k).astype(np.int64), "OBM"))
     lcl = means - crit * se_obm
     ucl = means + crit * se_obm
 

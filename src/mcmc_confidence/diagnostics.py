@@ -30,7 +30,8 @@ samples' means, and a tile computes only the samples within reach,
 exponent lies below -746. Each block is sorted once, so the samples in reach
 are one contiguous slice and the ones out of reach are +0.0 terms on either
 side of it: every sum is bit for bit the full sorted tile's. For the
-mixture every mean is y_bar, so its order is the sample order. kde_2d fills
+mixture every mean is y_bar, so its order is the sample order, and grid
+points at equal |grid - y_bar| share one row sum. kde_2d fills
 two (grid, block) kernel matrices tile by tile and adds their products in
 block order. Memory is O(grid^2 + grid * block), never O(grid * n). The
 tiles run in the calling thread: spread over threads, their wall time would
@@ -133,19 +134,24 @@ def running_mean(values) -> np.ndarray:
 def running_quantiles(values, probabilities: Sequence[float]) -> np.ndarray:
     """Type-1 quantiles of every prefix; shape (n, len(probabilities)).
 
-    An insertion-sorted prefix makes each record an O(log k) lookup while
-    selecting exactly the same order statistics a fresh full computation
-    would.
+    The order-statistic slots max(1, ceil(k p)) - 1 of every prefix k come
+    from one numpy pass per probability, over the same float products k * p
+    that ``mcse._type1_index`` takes; an insertion-sorted prefix then makes
+    each record an O(log k) lookup while selecting exactly the same order
+    statistics a fresh full computation would.
     """
     x = _chain_1d(values)
     probs = [float(p) for p in probabilities]
-    out = np.empty((x.size, len(probs)))
+    for p in probs:
+        _type1_index(1, p)  # the probability check, before any work
+    k = np.arange(1.0, x.size + 1)
+    slots = [(np.maximum(1.0, np.ceil(k * p)) - 1).astype(np.int64).tolist() for p in probs]
+    out: list[float] = []
     prefix: list[float] = []
-    for k, v in enumerate(x.tolist(), start=1):
+    for v, row in zip(x.tolist(), zip(*slots)):
         bisect.insort(prefix, v)
-        for j, p in enumerate(probs):
-            out[k - 1, j] = prefix[_type1_index(k, p) - 1]
-    return out
+        out += [prefix[i] for i in row]
+    return np.array(out, dtype=float).reshape(x.size, len(probs))
 
 
 def _running_se(x: np.ndarray, kind: str, probabilities=()) -> np.ndarray:
@@ -293,6 +299,12 @@ def rb_marginal_mu(
     ``plugin`` evaluates one normal density N(y_bar, mean(theta)/m);
     ``mixture`` averages N(y_bar, theta_i/m) over the chain. With a single
     theta the two coincide. The grid and y_bar must be finite and m >= 1.
+
+    Both variants center every kernel at y_bar, and (-0.5 z) z is the same
+    in IEEE arithmetic for z and -z, so grid points at the same computed
+    distance |g - y_bar| get the same terms. Each distinct distance is
+    summed once, at its first grid point, and the sums are indexed back:
+    the 701-point CLI grid needs 532 rows at y_bar = 1.
     """
     theta = _chain_1d(theta_values)
     if np.any(theta <= 0.0):
@@ -304,13 +316,16 @@ def rb_marginal_mu(
     gx = np.asarray(grid, dtype=float)
     if not np.all(np.isfinite(gx)):
         raise ValueError("grid holds a non-finite value")
-    flat = gx.reshape(-1)
     if variant == "plugin":
-        dens = _gauss_sums(flat, y_bar, math.sqrt(float(np.mean(theta)) / m))
+        sd, scale = math.sqrt(float(np.mean(theta)) / m), 1
     elif variant == "mixture":
-        dens = _gauss_sums(flat, y_bar, np.sqrt(theta / m)) / theta.size
+        sd, scale = np.sqrt(theta / m), theta.size
     else:
         raise ValueError(f"unknown variant {variant!r}")
+    # every kernel mean is y_bar, so a grid point's terms depend on |g - y_bar|
+    # alone: each distinct distance is summed once, at its first grid point
+    _, first, inverse = np.unique(np.abs(gx.reshape(-1) - y_bar), return_index=True, return_inverse=True)
+    dens = _gauss_sums(gx.reshape(-1)[first], y_bar, sd)[inverse] / scale
     return Kde1D(x=gx, density=dens.reshape(gx.shape), bandwidth=None)
 
 

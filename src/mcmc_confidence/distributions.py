@@ -1,8 +1,10 @@
 """Distribution functions and the special functions behind them.
 
-Scalar, pure, and dependency-free (stdlib ``math`` and ``statistics``
-only): the normal quantile, and the Student-t CDF and quantile the
-intervals use, which rest on the incomplete-beta continued fraction.
+Pure functions on the stdlib ``math`` and ``statistics``: the normal
+quantile, and the Student-t CDF and quantile the intervals use, which rest
+on the incomplete-beta continued fraction. All are scalar except
+``t_quantiles``, the t quantile at one probability for a numpy array of
+degrees of freedom, which gives ``t_quantile``'s bits at every entry.
 Non-integer degrees of freedom are accepted everywhere.
 
 The Student-t quantile needs no root search. Where the term it omits is
@@ -19,10 +21,13 @@ import sys
 from functools import lru_cache
 from statistics import NormalDist
 
+import numpy as np
+
 __all__ = [
     "normal_quantile",
     "t_cdf",
     "t_quantile",
+    "t_quantiles",
 ]
 
 _LN_SQRT_PI = 0.5723649429247000870717136756012478
@@ -65,6 +70,11 @@ def _beta_cont_frac(a: float, b: float, x: float) -> float:
     raise ArithmeticError(
         f"incomplete beta continued fraction did not converge (a={a}, b={b}, x={x})"
     )
+
+
+def _check_df(df: float) -> None:
+    if not df > 0.0:
+        raise ValueError(f"degrees of freedom must be positive, got {df}")
 
 
 def _check_prob(p: float) -> None:
@@ -118,9 +128,10 @@ def t_cdf(x: float, df: float) -> float:
     return 1.0 - m if x > 0.0 else m
 
 
-def _cornish_fisher(z: float, df: float) -> tuple[float, float]:
+def _cornish_fisher(z: float, df):
     """The t quantile at normal quantile z > 0 from A&S 26.7.5 to order
-    df^-4, and the df^-5 term it omits (positive, like every g_k(z) / z)."""
+    df^-4, and the df^-5 term it omits (positive, like every g_k(z) / z).
+    Plain arithmetic, so ``df`` may be a numpy array."""
     z2 = z * z
     r = 1.0 / df
     g1 = z * (z2 + 1.0) / 4.0
@@ -135,8 +146,7 @@ def _cornish_fisher(z: float, df: float) -> tuple[float, float]:
 def t_quantile(p: float, df: float) -> float:
     """Inverse Student-t CDF, antisymmetric about p = 1/2 by construction;
     OverflowError beyond |t| = 1e154, which only df below 2 reach."""
-    if not df > 0.0:
-        raise ValueError(f"degrees of freedom must be positive, got {df}")
+    _check_df(df)
     _check_prob(p)
     if p == 0.5:
         return 0.0
@@ -153,6 +163,30 @@ def t_quantile(p: float, df: float) -> float:
             u = 0.5 * math.log(df) + (_ln_gamma_half_ratio(0.5 * df) - _LN_SQRT_PI - math.log(df * tail)) / df
         t = _t_newton(u, tail, abs(p - 0.5), df)
     return math.copysign(t, p - 0.5)
+
+
+def t_quantiles(p: float, dfs) -> np.ndarray:
+    """``t_quantile(p, df)`` for every entry of the array ``dfs``, bit for bit.
+
+    The Cornish-Fisher series runs once on the whole array. An entry keeps it
+    where the omitted term is below an ulp by a relative margin of 1e-6,
+    which covers numpy's ``r ** 5`` rounding apart from Python's in the last
+    bit; every other entry goes through ``t_quantile`` itself. A df that is
+    not positive, or p outside (0, 1), raises ``t_quantile``'s ValueError.
+    """
+    dfs = np.asarray(dfs, dtype=float)
+    bad = dfs[~(dfs > 0.0)]
+    if bad.size:
+        _check_df(bad[0])
+    _check_prob(p)
+    if p == 0.5:
+        return np.zeros(dfs.shape)
+    with np.errstate(over="ignore", invalid="ignore"):  # tiny df: those entries take t_quantile
+        t, omitted = _cornish_fisher(-_STD_NORMAL.inv_cdf(min(p, 1.0 - p)), dfs)
+        out = np.copysign(t, p - 0.5)
+        newton = np.flatnonzero(~(omitted < _EPS * t * (1.0 - 1e-6)))
+    out.flat[newton] = [t_quantile(p, df) for df in dfs.flat[newton].tolist()]
+    return out
 
 
 def _t_newton(u: float, tail: float, mass: float, df: float) -> float:

@@ -435,6 +435,12 @@ def subsample_quantile_se(values, probabilities: Sequence[float] = (0.25, 0.75))
                          ses=np.sqrt(sigma2 / lay.n), **lay._asdict())
 
 
+def _check_level(level: float) -> None:
+    # a one-sided t level at or below 1/2 has a critical value <= 0, so no interval
+    if not 0.5 < level < 1.0:
+        raise ValueError(f"level must lie in (0.5, 1), got {level}")
+
+
 def _t_interval(center: float, se: float, crit: float, **fields) -> Interval:
     half = crit * se
     return Interval(center=center, se=se, half_width=half, lower=center - half, upper=center + half, **fields)
@@ -450,11 +456,13 @@ def ci_mean(
     """Two-sided t interval for the chain mean.
 
     Degrees of freedom follow the estimator: a - 1 for BM, n - b + 1 for
-    OBM. ``level`` is the one-sided t level (0.9 gives an 80% interval).
+    OBM. ``level`` is the one-sided t level (0.9 gives an 80% interval),
+    which must lie in (0.5, 1).
     """
     meth = method.upper()
     if meth not in ("BM", "OBM"):
         raise ValueError(f"method specified invalid (meth={method})")
+    _check_level(level)
     est = (mcse_bm if meth == "BM" else mcse_obm)(values, policy, g)
     if est is None:
         return None
@@ -471,8 +479,10 @@ def ci_quantiles(
     """Per-quantile subsampling t intervals, optionally Bonferroni-adjusted.
 
     With the adjustment, k simultaneous intervals use the inflated level
-    1 - (1 - level)/k (0.975 with k=2 becomes 0.9875).
+    1 - (1 - level)/k (0.975 with k=2 becomes 0.9875). ``level`` must lie
+    in (0.5, 1).
     """
+    _check_level(level)
     qset = subsample_quantile_se(values, probabilities)
     if qset is None:
         return None

@@ -41,7 +41,11 @@ class Rng:
 
     @staticmethod
     def check_seed(seed) -> int:
-        """``seed`` as an int, if it fits in an unsigned 64-bit integer; else ValueError."""
+        """``seed`` (an int, a numpy integer or a decimal string) as an int, if it
+        fits in an unsigned 64-bit integer; else ValueError. A float is refused,
+        not truncated."""
+        if not isinstance(seed, (int, np.integer, str)):
+            raise ValueError(f"seed must be an integer, got {seed!r}")
         seed = int(seed)
         if not 0 <= seed <= _UINT64_MAX:
             raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {seed}")
@@ -52,8 +56,8 @@ class Rng:
 
     def spawn(self, index: int) -> "Rng":
         """Independent generator for replicate `index` (seed = base seed + index)."""
-        if index < 0:
-            raise ValueError("replicate index must be nonnegative")
+        if not isinstance(index, (int, np.integer)) or index < 0:
+            raise ValueError(f"replicate index must be a nonnegative integer, got {index!r}")
         return Rng((self.seed + int(index)) % (_UINT64_MAX + 1))
 
     def standard_draws(self) -> tuple[Callable[[float], float], Callable[[], float]]:

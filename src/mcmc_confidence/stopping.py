@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .mcse import MIN_SAMPLES, Interval, ci_mean, ci_quantiles
+from .mcse import MIN_SAMPLES, Interval, _check_level, ci_mean, ci_quantiles
 from .rng import Rng
 
 __all__ = ["StoppingConfig", "StoppingResult", "fixed_width_mean", "fixed_width_quantiles"]
@@ -39,8 +39,7 @@ class StoppingConfig:
     def __post_init__(self):
         if not self.epsilon > 0.0:
             raise ValueError(f"target half-width epsilon must be positive, got {self.epsilon}")
-        if not 0.0 < self.level < 1.0:
-            raise ValueError(f"level must lie in (0, 1), got {self.level}")
+        _check_level(self.level)
         for name, count in (("step", self.step), ("pilot_n", self.pilot_n), ("max_n", self.max_n)):
             if count % 1 != 0:  # also true for inf and nan
                 raise ValueError(f"{name} must be a whole number, got {count}")

@@ -81,6 +81,22 @@ def test_ar1_of_one_state_writes_an_absent_autocorrelation(tmp_path):
     assert read_bytes(out / "acf.csv") == b"lag,r\n0,NA\n"
 
 
+@pytest.mark.parametrize("n", [5, 9, 10, 12, 3000])
+def test_ar1_interval_columns_use_every_prefix_t_quantile(n):
+    # the per-prefix loop of scalar critical values that run_ar1 replaced, as the oracle
+    from mcmc_confidence import cli, t_quantile
+
+    args = cli.build_parser().parse_args(["ar1", "--rho", "0.95", "--n", str(n), "--seed", "11"])
+    header, columns = cli.run_ar1(args)["running.csv"]
+    col = dict(zip(header, columns))
+    crit = np.full(n, np.nan)
+    for k in range(10, n + 1):
+        crit[k - 1] = t_quantile(0.9, k - math.isqrt(k) + 1)
+    for name, want in (("mean_lcl_obm", col["mean"] - crit * col["se_obm"]),
+                       ("mean_ucl_obm", col["mean"] + crit * col["se_obm"])):
+        assert np.array_equal(col[name].view(np.int64), want.view(np.int64)), name
+
+
 def test_ar1_deterministic_and_replayable(tmp_path):
     a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
     args = ["ar1", "--rho", 0.95, "--n", 150, "--seed", 1976]
@@ -453,7 +469,7 @@ def test_stop_manifest_replay(tmp_path):
     assert read_bytes(a / "summary.csv") == read_bytes(b / "summary.csv")
 
 
-def test_usage_errors_exit_one():
+def test_usage_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(["ar1", "--bogus-flag", 1])
     assert exc.value.code == 1
@@ -463,6 +479,16 @@ def test_usage_errors_exit_one():
     with pytest.raises(SystemExit) as exc:
         run_cli([])
     assert exc.value.code == 1
+    capsys.readouterr()
+    for argv, message in (
+        (["ar1", "--n", "abc"], "argument --n: invalid int value: 'abc'"),
+        (["ar1", "--probabilities", "x"], "argument --probabilities: cannot parse probabilities from 'x'"),
+        (["ar1", "--probabilities", ","], "argument --probabilities: need at least one probability"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv)
+        assert exc.value.code == 1, argv
+        assert capsys.readouterr().err.endswith(f"mcmc-confidence ar1: error: {message}\n"), argv
 
 
 def test_domain_errors_exit_two(tmp_path, capsys):
@@ -481,6 +507,7 @@ def test_domain_errors_exit_two(tmp_path, capsys):
         (["gibbs-normal", "--m", 2], "sample size m must be at least 3, got 2"),
         (["stop", "--epsilon", -1], "target half-width epsilon must be positive, got -1.0"),
         (["stop", "--epsilon", "nan"], "target half-width epsilon must be positive, got nan"),
+        (["stop", "--level", 0.5], "level must lie in (0.5, 1), got 0.5"),
         (["gibbs-normal", "--n", 1], "density estimation needs at least two samples"),
         (["gibbs-normal", "--n", 3, "--s2", 1e-300], "sample is constant; kernel bandwidth would be zero"),
         (["ar1", "--n", 50, "--rho", 0.9, "--tau", 1e308], "chain holds a non-finite value (inf) at index 8"),

@@ -245,6 +245,9 @@ def _same_bytes(io_dir, columns):
 
 @settings(max_examples=200)
 @given(columns=column_sets())
+@example(columns=[np.full(cli._WRITE_CHUNK_ROWS, math.nan), np.arange(cli._WRITE_CHUNK_ROWS)])
+@example(columns=[np.full(3, math.nan, dtype=np.float32), [None, math.nan, np.float64("nan")]])
+@example(columns=[np.array([]), np.array([], dtype=np.int64), [], np.array([], dtype=bool)])
 def test_column_writer_matches_row_writer(io_dir, columns):
     assert _same_bytes(io_dir, columns)
 

@@ -1,3 +1,4 @@
+import bisect
 import math
 import warnings
 from statistics import NormalDist
@@ -28,6 +29,7 @@ from mcmc_confidence import (
     subsample_quantile_se,
     tda_run,
 )
+from mcmc_confidence.mcse import _type1_index
 
 # running series ---------------------------------------------------------------
 
@@ -73,6 +75,36 @@ def test_running_quantiles_prefix_consistency(seed, n):
 def test_running_quantiles_validates_probabilities():
     with pytest.raises(ValueError):
         running_quantiles([1.0, 2.0], [0.0])
+    for probs, bad in (((0.5, 1.5), 1.5), ((math.nan,), math.nan), ((0.25, -0.0, 2.0), -0.0)):
+        with pytest.raises(ValueError, match=rf"^quantile probability must lie in \(0, 1\], got {bad}$"):
+            running_quantiles([1.0, 2.0], probs)
+
+
+def insort_running_quantiles(values, probabilities):
+    """The per-record loop running_quantiles replaced: the oracle for it."""
+    x = np.asarray(values, dtype=float)
+    probs = [float(p) for p in probabilities]
+    out = np.empty((x.size, len(probs)))
+    prefix: list[float] = []
+    for k, v in enumerate(x.tolist(), start=1):
+        bisect.insort(prefix, v)
+        for j, p in enumerate(probs):
+            out[k - 1, j] = prefix[_type1_index(k, p) - 1]
+    return out
+
+
+@pytest.mark.parametrize("chain", [
+    Rng(1).normals(3000),
+    Rng(2).normals(2000).round(1),  # many ties
+    np.repeat([3.0, -1.0, 0.0, -0.0, 2.5], 200),
+    np.arange(500.0)[::-1],
+    np.array([7.0]),
+])
+@pytest.mark.parametrize("probs", [(0.25, 0.75), (0.5,), (1.0, 0.001, 0.3333333), (1e-300, 1.0 - 1e-16), ()])
+def test_running_quantiles_equal_the_insort_loop(chain, probs):
+    got = running_quantiles(chain, probs)
+    assert got.shape == (chain.size, len(probs)) and got.dtype == np.float64
+    assert np.array_equal(got.view(np.int64), insort_running_quantiles(chain, probs).view(np.int64))
 
 
 def test_running_mcse_sentinel_rows():
@@ -336,6 +368,10 @@ def test_kde_1d_rejects_degenerate_input():
         kde_1d(np.full(100, 2.0))
     with pytest.raises(ValueError):
         kde_1d(np.array([1.0]))
+    with pytest.raises(ValueError, match="^expected a nonempty one-dimensional chain$"):
+        kde_1d([])
+    with pytest.raises(ValueError, match="^bandwidth needs at least two samples$"):
+        silverman_bandwidth([1.0])
 
 
 @pytest.mark.parametrize("n_grid", [1, 5, 512])
@@ -372,6 +408,8 @@ def test_kde_2d_validation():
         kde_2d(np.arange(10.0), np.arange(9.0))
     with pytest.raises(ValueError):
         kde_2d(np.full(50, 1.0), np.arange(50.0))
+    with pytest.raises(ValueError, match="^density estimation needs at least two samples$"):
+        kde_2d([1.0], [2.0])
 
 
 @pytest.mark.parametrize("lims", [None, (-1e308, 1e308, 0.0, 3.0), (0.0, 3.0, 1.7e308, -1.7e308)])

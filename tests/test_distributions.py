@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mcmc_confidence import normal_quantile, t_cdf, t_quantile
-from mcmc_confidence.distributions import _beta_cont_frac
+from mcmc_confidence import normal_quantile, t_cdf, t_quantile, t_quantiles
+from mcmc_confidence.distributions import _EPS, _STD_NORMAL, _beta_cont_frac, _cornish_fisher
 
 normal_cdf = NormalDist().cdf
 
@@ -211,3 +211,82 @@ def test_t_functions_reject_nan_and_infinite_df():
         with pytest.raises(ValueError):
             t_quantile(p, df)
     assert t_cdf(math.inf, 5.0) == 1.0 and t_cdf(-math.inf, 5.0) == 0.0
+
+
+# t_quantiles: t_quantile over an array of df ----------------------------------
+
+
+def scalar_quantiles(p, dfs):
+    return np.array([t_quantile(p, df) for df in dfs.tolist()])
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_t_quantiles_equal_t_quantile_at_every_prefix_df():
+    # the OBM df k - isqrt(k) + 1 of every prefix of a 10^5-state run
+    dfs = np.array([k - math.isqrt(k) + 1 for k in range(10, 100_001)], dtype=float)
+    for p in (0.9, 0.975):
+        assert same_bits(t_quantiles(p, dfs), scalar_quantiles(p, dfs))
+
+
+@pytest.mark.parametrize("p", [0.1, 0.5, 0.975, 0.9875, 0.999])
+def test_t_quantiles_equal_t_quantile_on_a_log_uniform_df_sweep(p):
+    dfs = np.exp(np.random.default_rng(25).uniform(math.log(0.5), math.log(1e9), 20_000))
+    assert same_bits(t_quantiles(p, dfs), scalar_quantiles(p, dfs))
+
+
+def _series_is_kept(p, df):
+    # t_quantile's own test: the term the series omits is within an ulp of t
+    t, omitted = _cornish_fisher(-_STD_NORMAL.inv_cdf(min(p, 1.0 - p)), df)
+    return omitted <= _EPS * t
+
+
+def _ulps_around(df, k=2000):
+    return df + math.ulp(df) * np.arange(-k, k + 1.0)
+
+
+@pytest.mark.parametrize("p,dfs", [
+    # at p = 0.9, df 744 takes Newton steps and 745 keeps the series
+    (0.9, np.array([744.0, 745.0])),
+    (0.1, np.array([744.0, 745.0])),
+    # numpy's r ** 5 is an ulp off Python's in some of these, so without a
+    # margin the array series would keep a df that t_quantile sends to Newton
+    (0.5893859429714858, _ulps_around(737.8813428946974)),
+    (0.6153989974937344, _ulps_around(737.5919800648707)),
+    (0.8533160401002506, _ulps_around(727.8946466154497)),
+])
+def test_t_quantiles_equal_t_quantile_across_the_series_boundary(p, dfs):
+    kept = [_series_is_kept(p, df) for df in dfs.tolist()]
+    assert any(kept) and not all(kept)
+    assert same_bits(t_quantiles(p, dfs), scalar_quantiles(p, dfs))
+
+
+def test_t_quantiles_at_infinite_df_is_the_normal_quantile():
+    got = t_quantiles(0.9, [math.inf, 5.0])
+    assert same_bits(got, np.array([t_quantile(0.9, math.inf), t_quantile(0.9, 5.0)]))
+    assert got[0] == NormalDist().inv_cdf(0.9)
+
+
+def test_t_quantiles_median_and_empty():
+    assert same_bits(t_quantiles(0.5, [1.0, 3.5, 1954.0]), np.zeros(3))
+    assert t_quantiles(0.9, []).shape == (0,)
+
+
+@pytest.mark.parametrize("p,dfs", [
+    (0.9, [5.0, 0.0]),
+    (0.9, [-1.0, 5.0]),
+    (0.9, [5.0, math.nan]),
+    (0.0, [5.0]),
+    (1.0, [5.0]),
+    (math.nan, [5.0]),
+    (1.5, [5.0, 0.0]),
+])
+def test_t_quantiles_raise_the_scalar_error(p, dfs):
+    bad = next((df for df in dfs if not df > 0.0), dfs[0])
+    with pytest.raises(ValueError) as scalar:
+        t_quantile(p, bad)
+    with pytest.raises(ValueError) as array:
+        t_quantiles(p, np.array(dfs))
+    assert str(array.value) == str(scalar.value)

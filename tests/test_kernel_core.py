@@ -150,6 +150,19 @@ def test_rb_marginal_mu_matches_broadcast_formula(x, y_bar, span, n_grid, m):
     assert same_bits(rb_marginal_mu(theta, grid, m, y_bar, variant="mixture").density, mixture)
 
 
+@pytest.mark.parametrize("y_bar", [1.0, 0.37, 0.5])
+def test_rb_marginal_mu_on_the_cli_grid_matches_broadcast_formula(y_bar):
+    # the gibbs-normal grid holds many grid points at equal distance from y_bar,
+    # which share one kernel row; each still equals its own broadcast-formula row
+    grid = np.linspace(-3.0, 4.0, 701)
+    theta = np.exp(Rng(57).normals(2 * _KDE_BLOCK + 5)) + 0.5
+    assert np.unique(np.abs(grid - y_bar)).size < grid.size
+    plugin = reference_pdf(grid, y_bar, math.sqrt(float(np.mean(theta)) / 11))
+    mixture = reference_sums(grid, y_bar, np.sqrt(theta / 11)) / theta.size
+    assert same_bits(rb_marginal_mu(theta, grid, 11, y_bar, variant="plugin").density, plugin)
+    assert same_bits(rb_marginal_mu(theta, grid, 11, y_bar, variant="mixture").density, mixture)
+
+
 def test_overflowing_exponent_gives_zero_terms():
     # z * z overflows to -inf for the far points; their terms are 0, not NaN
     x = np.array([0.0, 1.0, 2.0, 3.0, 1e200, -1e200])

@@ -187,6 +187,15 @@ def test_invalid_policy_and_method():
         ci_mean(X16, "spectral")
 
 
+def test_chain_shape_transform_shape_and_probability_count_are_checked():
+    with pytest.raises(ValueError, match=r"^expected a one-dimensional chain, got shape \(4, 3\)$"):
+        mcse_obm(np.zeros((4, 3)))
+    with pytest.raises(ValueError, match=r"^transform must be elementwise \(shape-preserving\)$"):
+        mcse_bm(X16, g=lambda v: v[:-1])
+    with pytest.raises(ValueError, match="^need at least one probability$"):
+        subsample_quantile_se(Rng(1).normals(100), [])
+
+
 def test_sqroot_policy_defaults():
     x = Rng(3).normals(2000)
     est = mcse_bm(x)

@@ -66,6 +66,25 @@ def test_seed_validation():
     Rng(2**64 - 1)
 
 
+@pytest.mark.parametrize("seed", [1.5, 1e19, 3.0, np.float64(2.0), None, [1]])
+def test_seed_that_is_not_an_integer_is_refused(seed):
+    with pytest.raises(ValueError, match="^seed must be an integer, got "):
+        Rng(seed)
+
+
+def test_integer_seeds_of_every_accepted_type():
+    assert Rng(np.uint64(2**64 - 1)).seed == 2**64 - 1
+    assert Rng(np.int32(7)).seed == 7
+    assert Rng("12").seed == 12 and type(Rng("12").seed) is int
+
+
+@pytest.mark.parametrize("index", [2.7, 3.0, np.float64(1.0), "2"])
+def test_spawn_takes_an_integer_index(index):
+    with pytest.raises(ValueError, match="^replicate index must be a nonnegative integer, got "):
+        Rng(1).spawn(index)
+    assert Rng(1).spawn(np.int64(2)).seed == 3
+
+
 def test_spawn_offsets_seed():
     base = Rng(100)
     child = base.spawn(3)

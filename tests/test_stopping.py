@@ -7,6 +7,7 @@ from mcmc_confidence import (
     Ar1Params,
     Ar1Source,
     Rng,
+    ar1_run,
     StoppingConfig,
     ci_mean,
     ci_quantiles,
@@ -36,6 +37,22 @@ def test_config_validation():
         StoppingConfig(epsilon=math.nan)
     with pytest.raises(ValueError):
         StoppingConfig(level=1.0)
+    for level in (0.5, 0.3, 0.0, math.nan):
+        with pytest.raises(ValueError, match=rf"^level must lie in \(0\.5, 1\), got {level}$"):
+            StoppingConfig(level=level)
+
+
+@pytest.mark.parametrize("level", [0.5, 0.3, 0.2, 1.0, math.nan])
+def test_intervals_refuse_a_level_outside_one_half_to_one(level):
+    # a one-sided level at or below 1/2 gives a critical value <= 0: no interval
+    x = ar1_run(2000, Ar1Params(0.9), Rng(1)).values
+    message = rf"^level must lie in \(0\.5, 1\), got {level}$"
+    with pytest.raises(ValueError, match=message):
+        ci_mean(x, "OBM", level)
+    with pytest.raises(ValueError, match=message):
+        ci_quantiles(x, (0.5,), level)
+    with pytest.raises(ValueError, match=message):
+        ci_quantiles(x, (0.25, 0.75), level, bonferroni=True)
     for counts in ({"step": 0}, {"step": 1.5}, {"pilot_n": 100.5}, {"max_n": 4000.5}, {"max_n": math.inf}):
         with pytest.raises(ValueError):
             StoppingConfig(**counts)
