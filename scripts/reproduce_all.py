@@ -5,9 +5,9 @@ Covers the AR(1) running-estimate studies at both persistence levels, the
 data-augmentation sampler for the 4-df t target, the normal mean/variance
 Gibbs sampler with its density estimates, and the fixed-width stopping run
 for the mean. The quantile stopping runs (plain and Bonferroni) add about
-11 s on a 2-vCPU Xeon, almost all of it the Bonferroni run, whose chain
-grows to 266k states with a window-quantile check every 2000, so they only
-run with --full.
+8 s on a 2-vCPU Xeon (0.3-0.5 s and 7-9 s), almost all of it the Bonferroni
+run, whose chain grows to 266k states with a window-quantile check every
+2000, so they only run with --full.
 
 Each output directory contains a manifest.txt; replaying a manifest
 reproduces its CSVs byte for byte.

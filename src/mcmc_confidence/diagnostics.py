@@ -5,16 +5,20 @@ k = 1..n, where record k depends only on the first k values. The last
 record of the standard-error sweeps and of running_quantiles matches the
 corresponding full-chain computation exactly; running_mean's sequential
 cumulative sum may differ from np.mean's pairwise sum in the last bits. The
-standard-error sweeps group the prefixes by their sqroot batch size
-b = isqrt(k), which is constant for k in [b^2, (b+1)^2 - 1], and make one
-``mcse._prefix_sigma2`` call per group: the batch statistics of the group's
-longest prefix and one scan of their dispersion, of which each prefix reads
-the row the estimator itself reads, so prefix consistency is exact. A
-group's window quantiles cost O(m log b) comparisons plus O(m b / 32) word
+standard-error sweeps split the prefixes into runs that share one sqroot
+batch size b = isqrt(k), which is constant for k in [b^2, (b+1)^2 - 1], and
+one unit exponent, that of max|x[:k]| (``mcse._unit_exponent``), and make
+one ``mcse._prefix_sigma2`` call per run: the batch statistics of the run's
+longest prefix, scaled by the exponent every prefix of the run would take
+alone, and one scan of their dispersion, of which each prefix reads the row
+the estimator itself reads. So each record runs its direct call's steps in
+the same order, and prefix consistency is exact at every scale. A run's
+window quantiles cost O(m log b) comparisons plus O(m b / 32) word
 operations on its longest prefix m, all in numpy (see ``mcse``); the rest of
-the group costs O(b^2), where re-reducing every prefix cost O(b^3). Standard
-errors are NaN for prefixes shorter than the estimators' minimum sample
-size.
+the run costs O(b^2), where re-reducing every prefix cost O(b^3). The
+exponent changes only where max|x| crosses a power of two, mostly early in
+a chain, where runs are short. Standard errors are NaN for prefixes shorter
+than the estimators' minimum sample size.
 
 The density estimators (kde_1d, kde_2d, rb_marginal_mu) share one Gaussian
 kernel tile. It computes the kernel terms of 16 grid rows by one block of at
@@ -115,16 +119,6 @@ def _chain_1d(values) -> np.ndarray:
     return x
 
 
-def _sqroot_groups(n: int):
-    """(b, first k, last k) for the prefixes MIN_SAMPLES..n sharing b = isqrt(k)."""
-    k = MIN_SAMPLES
-    while k <= n:
-        b = math.isqrt(k)
-        last = min((b + 1) ** 2 - 1, n)
-        yield b, k, last
-        k = last + 1
-
-
 def running_mean(values) -> np.ndarray:
     """Cumulative mean of every prefix, via one cumulative sum."""
     x = _chain_1d(values)
@@ -134,32 +128,31 @@ def running_mean(values) -> np.ndarray:
 def running_quantiles(values, probabilities: Sequence[float]) -> np.ndarray:
     """Type-1 quantiles of every prefix; shape (n, len(probabilities)).
 
-    The order-statistic slots max(1, ceil(k p)) - 1 of every prefix k come
-    from one numpy pass per probability, over the same float products k * p
-    that ``mcse._type1_index`` takes; an insertion-sorted prefix then makes
-    each record an O(log k) lookup while selecting exactly the same order
-    statistics a fresh full computation would.
+    The order-statistic slots of every prefix k = 1..n come from one
+    ``mcse._type1_index`` call per probability; an insertion-sorted prefix
+    then makes each record an O(log k) lookup while selecting exactly the
+    same order statistics a fresh full computation would.
     """
     x = _chain_1d(values)
-    probs = [float(p) for p in probabilities]
-    for p in probs:
-        _type1_index(1, p)  # the probability check, before any work
-    k = np.arange(1.0, x.size + 1)
-    slots = [(np.maximum(1.0, np.ceil(k * p)) - 1).astype(np.int64).tolist() for p in probs]
+    k = np.arange(1, x.size + 1)
+    slots = [(_type1_index(k, float(p)) - 1).tolist() for p in probabilities]
     out: list[float] = []
     prefix: list[float] = []
     for v, row in zip(x.tolist(), zip(*slots)):
         bisect.insort(prefix, v)
         out += [prefix[i] for i in row]
-    return np.array(out, dtype=float).reshape(x.size, len(probs))
+    return np.array(out, dtype=float).reshape(x.size, len(slots))
 
 
 def _running_se(x: np.ndarray, kind: str, probabilities=()) -> np.ndarray:
-    # one column per statistic; NaN below MIN_SAMPLES
+    # one column per statistic; NaN below MIN_SAMPLES. A run of prefixes shares
+    # b = isqrt(k), exact below 2^52, and the unit exponent of max|x[:k]|.
     out = np.full((x.size, len(probabilities) or 1), np.nan)
-    for b, first, last in _sqroot_groups(x.size):
-        k = np.arange(first, last + 1)
-        out[first - 1 : last] = np.sqrt(_prefix_sigma2(x, b, kind, k, probabilities) / k[:, None])
+    k = np.arange(MIN_SAMPLES, x.size + 1)
+    b = np.sqrt(k).astype(np.int64)
+    e = np.frexp(np.maximum.accumulate(np.abs(x)))[1][MIN_SAMPLES - 1 :]
+    for ks in np.split(k, np.flatnonzero(np.diff([b, e]).any(axis=0)) + 1) if k.size else ():
+        out[ks[0] - 1 : ks[-1]] = np.sqrt(_prefix_sigma2(x, math.isqrt(ks[0]), kind, ks, probabilities) / ks[:, None])
     return out
 
 

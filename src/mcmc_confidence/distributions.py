@@ -131,21 +131,27 @@ def t_cdf(x: float, df: float) -> float:
 def _cornish_fisher(z: float, df):
     """The t quantile at normal quantile z > 0 from A&S 26.7.5 to order
     df^-4, and the df^-5 term it omits (positive, like every g_k(z) / z).
-    Plain arithmetic, so ``df`` may be a numpy array."""
+    Plain arithmetic, so ``df`` may be a numpy array: r^5 is a product, not a
+    power, because IEEE products round alike in numpy and Python where their
+    powers need not, so an array and a scalar df make the same series/Newton
+    choice. A product that overflows is inf, where Python's power raises."""
     z2 = z * z
     r = 1.0 / df
+    r2 = r * r
     g1 = z * (z2 + 1.0) / 4.0
     g2 = z * ((5.0 * z2 + 16.0) * z2 + 3.0) / 96.0
     g3 = z * (((3.0 * z2 + 19.0) * z2 + 17.0) * z2 - 15.0) / 384.0
     g4 = z * ((((79.0 * z2 + 776.0) * z2 + 1482.0) * z2 - 1920.0) * z2 - 945.0) / 92160.0
     g5 = z * (((((27.0 * z2 + 339.0) * z2 + 930.0) * z2 - 1782.0) * z2 - 765.0) * z2 + 17955.0) / 368640.0
-    return z + r * (g1 + r * (g2 + r * (g3 + r * g4))), g5 * r**5
+    return z + r * (g1 + r * (g2 + r * (g3 + r * g4))), g5 * (r2 * r2 * r)
 
 
 @lru_cache(maxsize=4096)
 def t_quantile(p: float, df: float) -> float:
     """Inverse Student-t CDF, antisymmetric about p = 1/2 by construction;
-    OverflowError beyond |t| = 1e154, which only df below 2 reach."""
+    OverflowError beyond |t| = 1e154, which only df below 2 reach, and every
+    df up to 1e-20 at p = 0.9 or 0.1 or further out, down to the smallest
+    subnormal."""
     _check_df(df)
     _check_prob(p)
     if p == 0.5:
@@ -154,13 +160,15 @@ def t_quantile(p: float, df: float) -> float:
     # min(p, 1 - p) and the central mass |p - 1/2| are both exact
     tail = min(p, 1.0 - p)
     t, omitted = _cornish_fisher(-_STD_NORMAL.inv_cdf(tail), df)
-    if omitted > _EPS * t:
+    if not omitted < _EPS * t:  # also where t or omitted overflowed
         if omitted < 1e-3 * t:  # the series is still a close start
             u = math.log(t)
-        else:
+        elif df * tail:
             # solves the power-law tail P(T > t) ~ (df / t^2)^(df/2) / (df B(df/2, 1/2)),
             # which exceeds P(T > t), so u starts above the root
             u = 0.5 * math.log(df) + (_ln_gamma_half_ratio(0.5 * df) - _LN_SQRT_PI - math.log(df * tail)) / df
+        else:  # df * tail underflows, so df <= 1/2 and that start lies far beyond ln 1e154
+            u = math.inf
         t = _t_newton(u, tail, abs(p - 0.5), df)
     return math.copysign(t, p - 0.5)
 
@@ -168,11 +176,11 @@ def t_quantile(p: float, df: float) -> float:
 def t_quantiles(p: float, dfs) -> np.ndarray:
     """``t_quantile(p, df)`` for every entry of the array ``dfs``, bit for bit.
 
-    The Cornish-Fisher series runs once on the whole array. An entry keeps it
-    where the omitted term is below an ulp by a relative margin of 1e-6,
-    which covers numpy's ``r ** 5`` rounding apart from Python's in the last
-    bit; every other entry goes through ``t_quantile`` itself. A df that is
-    not positive, or p outside (0, 1), raises ``t_quantile``'s ValueError.
+    The Cornish-Fisher series runs once on the whole array, with the scalar's
+    arithmetic, and an entry keeps it on the scalar's test, where the omitted
+    term is below an ulp of t; every other entry goes through ``t_quantile``
+    itself. A df that is not positive, or p outside (0, 1), raises
+    ``t_quantile``'s ValueError.
     """
     dfs = np.asarray(dfs, dtype=float)
     bad = dfs[~(dfs > 0.0)]
@@ -184,7 +192,7 @@ def t_quantiles(p: float, dfs) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):  # tiny df: those entries take t_quantile
         t, omitted = _cornish_fisher(-_STD_NORMAL.inv_cdf(min(p, 1.0 - p)), dfs)
         out = np.copysign(t, p - 0.5)
-        newton = np.flatnonzero(~(omitted < _EPS * t * (1.0 - 1e-6)))
+        newton = np.flatnonzero(~(omitted < _EPS * t))
     out.flat[newton] = [t_quantile(p, df) for df in dfs.flat[newton].tolist()]
     return out
 

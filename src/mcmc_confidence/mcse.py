@@ -282,10 +282,9 @@ def _prefix_sigma2(x: np.ndarray, b: int, kind: str, ks: np.ndarray, probabiliti
     subsampling windows. Everything up to that formula runs on the longest
     prefix scaled to unit magnitude (``_unit_exponent``), and sigma2 is
     scaled back: sigma2(x * 2^k) is sigma2(x) * 2^2k rounded once, bit for
-    bit. A sigma2 beyond the float range raises ValueError. A prefix keeps
-    the bits of a direct call unless the longest prefix is more than about
-    2^500 times larger than it, which drives its squared deviations below
-    the normal range.
+    bit. A sigma2 beyond the float range raises ValueError. A prefix whose
+    max|x| has the longest prefix's unit exponent keeps the bits of a direct
+    call, which is how the ``running_*`` sweeps group their prefixes.
     """
     x = x[: ks[-1]]
     e = _unit_exponent(x)
@@ -322,10 +321,12 @@ def mcse_obm(values, policy: BatchPolicy = "sqroot", g: Transform = None) -> Opt
     return _mcse(values, policy, g, "OBM")
 
 
-def _type1_index(n: int, p: float) -> int:
+def _type1_index(n, p: float):
+    """The 1-based slot max(1, ceil(n p)) of the type-1 p-quantile among n sorted
+    values, for an int or an int array n; ValueError unless p lies in (0, 1]."""
     if not 0.0 < p <= 1.0:
         raise ValueError(f"quantile probability must lie in (0, 1], got {p}")
-    return max(1, math.ceil(n * p))
+    return np.maximum(1, np.ceil(n * p)).astype(np.int64)
 
 
 def quantiles_type1(values, probabilities: Sequence[float]) -> np.ndarray:

@@ -26,6 +26,13 @@ __all__ = ["Rng"]
 _UINT64_MAX = 2**64 - 1
 
 
+def _whole(name: str, count) -> int:
+    """``count`` as an int; ValueError naming it unless it is a whole number."""
+    if count % 1 != 0:  # also true for inf and nan
+        raise ValueError(f"{name} must be a whole number, got {count}")
+    return int(count)
+
+
 class Rng:
     """Deterministic random generator: batch normals, and the stream's bound
     scalar standard gamma and standard normal draws for per-variate loops.
@@ -68,4 +75,4 @@ class Rng:
     def normals(self, n: int, mean: float = 0.0, sd: float = 1.0) -> np.ndarray:
         if sd <= 0.0:
             raise ValueError(f"normal draw needs sd > 0, got {sd}")
-        return self._gen.normal(mean, sd, size=int(n))
+        return self._gen.normal(mean, sd, size=_whole("n", n))

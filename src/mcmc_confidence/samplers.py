@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import Rng
+from .rng import Rng, _whole
 
 __all__ = [
     "Ar1Params",
@@ -80,6 +80,12 @@ class Chain:
         return len(self.values)
 
 
+def _chain_length(n) -> int:
+    if n < 1:
+        raise ValueError(f"chain length must be positive, got {n}")
+    return _whole("n", n)
+
+
 # AR(1) -------------------------------------------------------------------
 
 
@@ -93,9 +99,11 @@ def _ar1_recur(x0: float, rho: float, eps: np.ndarray) -> np.ndarray:
 
 
 def ar1_run(n: int, params: Ar1Params, rng: Rng, x0: float = 1.0) -> Chain:
-    """Chain of n states starting at x0 (the start value is state 1)."""
-    if n < 1:
-        raise ValueError(f"chain length must be positive, got {n}")
+    """Chain of n states starting at x0 (the start value is state 1), which must
+    be finite."""
+    n = _chain_length(n)
+    if not math.isfinite(x0):
+        raise ValueError(f"start value x0 must be finite, got {x0}")
     eps = rng.normals(n - 1, 0.0, params.tau)
     return Chain(_ar1_recur(x0, params.rho, eps))
 
@@ -104,7 +112,7 @@ def ar1_extend(chain: Chain, p: int, params: Ar1Params, rng: Rng) -> Chain:
     """Append p freshly generated states; the input chain is left untouched."""
     if p < 1:
         raise ValueError(f"extension length must be positive, got {p}")
-    eps = rng.normals(p, 0.0, params.tau)
+    eps = rng.normals(_whole("p", p), 0.0, params.tau)
     tail = _ar1_recur(float(chain.values[-1]), params.rho, eps)[1:]
     return Chain(np.concatenate((chain.values, tail)))
 
@@ -139,8 +147,7 @@ def tda_run(n: int, rng: Rng, init: tuple[float, float] = (1.0, 1.0)) -> Chain:
 
     x | y ~ N(0, 1/y), then y | x ~ Gamma(5/2, rate 2 + x^2/2).
     """
-    if n < 1:
-        raise ValueError(f"chain length must be positive, got {n}")
+    n = _chain_length(n)
     x, y = float(init[0]), float(init[1])
     if not (math.isfinite(x) and 0.0 < y < math.inf):
         raise ValueError(f"init needs a finite x and a positive, finite latent y, got ({x}, {y})")
@@ -172,8 +179,7 @@ def nv_gibbs_run(
     reciprocal of a Gamma((m - 1)/2, rate m (s2 + (y_bar - mu)^2) / 2) draw,
     then mu | theta ~ N(y_bar, theta/m).
     """
-    if n < 1:
-        raise ValueError(f"chain length must be positive, got {n}")
+    n = _chain_length(n)
     mu, theta = float(init[0]), float(init[1])
     if not (math.isfinite(mu) and 0.0 < theta < math.inf):
         raise ValueError(f"init needs a finite mean mu and a positive, finite variance theta, got ({mu}, {theta})")

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .mcse import MIN_SAMPLES, Interval, _check_level, ci_mean, ci_quantiles
-from .rng import Rng
+from .rng import Rng, _whole
 
 __all__ = ["StoppingConfig", "StoppingResult", "fixed_width_mean", "fixed_width_quantiles"]
 
@@ -41,8 +41,7 @@ class StoppingConfig:
             raise ValueError(f"target half-width epsilon must be positive, got {self.epsilon}")
         _check_level(self.level)
         for name, count in (("step", self.step), ("pilot_n", self.pilot_n), ("max_n", self.max_n)):
-            if count % 1 != 0:  # also true for inf and nan
-                raise ValueError(f"{name} must be a whole number, got {count}")
+            _whole(name, count)
         if self.step < 1:
             raise ValueError(f"step must be a positive integer, got {self.step}")
         if self.pilot_n < MIN_SAMPLES:

@@ -29,7 +29,6 @@ from mcmc_confidence import (
     subsample_quantile_se,
     tda_run,
 )
-from mcmc_confidence.mcse import _type1_index
 
 # running series ---------------------------------------------------------------
 
@@ -89,7 +88,7 @@ def insort_running_quantiles(values, probabilities):
     for k, v in enumerate(x.tolist(), start=1):
         bisect.insort(prefix, v)
         for j, p in enumerate(probs):
-            out[k - 1, j] = prefix[_type1_index(k, p) - 1]
+            out[k - 1, j] = prefix[max(1, math.ceil(k * p)) - 1]
     return out
 
 
@@ -162,18 +161,41 @@ def test_running_quantile_se_prefix_consistency(seed, n):
         assert out[k - 1, 0] == subsample_quantile_se(x[:k], (0.5,)).ses[0]
 
 
-def test_running_records_match_direct_calls_across_a_change_of_scale():
-    # from the middle of the b = 22 group (k = 484..528) on, the chain is 2^300
-    # times larger, so the group's longest prefix is scaled by another power
-    # of two than its shorter prefixes are in direct calls
+@pytest.mark.parametrize("jump", [300, 505, 510])
+def test_running_records_match_direct_calls_across_a_change_of_scale(jump):
+    # from the middle of the b = 22 prefixes (k = 484..528) on, the chain is
+    # 2^jump times larger, so their sweep splits where the unit exponent
+    # changes; past 2^505 a shared exponent would drive the shorter prefixes'
+    # squared deviations below the normal range
     x = ar1_run(560, Ar1Params(0.5), Rng(3)).values
-    x[505:] *= 2.0**300
+    x[505:] *= 2.0**jump
     bm, obm = running_mcse(x, "BM"), running_mcse(x, "OBM")
     qse = running_quantile_se(x, (0.25, 0.75))
     for k in range(10, x.size + 1):
         assert bm[k - 1] == mcse_bm(x[:k]).se, k
         assert obm[k - 1] == mcse_obm(x[:k]).se, k
         assert np.array_equal(qse[k - 1], subsample_quantile_se(x[:k], (0.25, 0.75)).ses), k
+
+
+@pytest.mark.parametrize("sweep, direct", [
+    (lambda x: running_mcse(x, "BM"), mcse_bm),
+    (lambda x: running_mcse(x, "OBM"), mcse_obm),
+    (lambda x: running_quantile_se(x, (0.25, 0.75)), lambda x: subsample_quantile_se(x, (0.25, 0.75))),
+], ids=["BM", "OBM", "SUB"])
+def test_running_sweeps_raise_the_direct_calls_overflow(sweep, direct):
+    # at a jump of 2^1000 the prefixes past it have a sigma2 beyond the float range
+    x = ar1_run(560, Ar1Params(0.5), Rng(3)).values
+    x[505:] *= 2.0**1000
+    for k in range(10, x.size + 1):
+        try:
+            direct(x[:k])
+        except ValueError as exc:
+            message = str(exc)
+            break
+    assert k > 505 and message.startswith("sigma2 overflows the float range")
+    with pytest.raises(ValueError) as exc:
+        sweep(x)
+    assert str(exc.value) == message
 
 
 # autocorrelation ----------------------------------------------------------------

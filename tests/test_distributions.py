@@ -238,9 +238,9 @@ def test_t_quantiles_equal_t_quantile_on_a_log_uniform_df_sweep(p):
 
 
 def _series_is_kept(p, df):
-    # t_quantile's own test: the term the series omits is within an ulp of t
+    # t_quantile's own test: the term the series omits is below an ulp of t
     t, omitted = _cornish_fisher(-_STD_NORMAL.inv_cdf(min(p, 1.0 - p)), df)
-    return omitted <= _EPS * t
+    return omitted < _EPS * t
 
 
 def _ulps_around(df, k=2000):
@@ -251,8 +251,9 @@ def _ulps_around(df, k=2000):
     # at p = 0.9, df 744 takes Newton steps and 745 keeps the series
     (0.9, np.array([744.0, 745.0])),
     (0.1, np.array([744.0, 745.0])),
-    # numpy's r ** 5 is an ulp off Python's in some of these, so without a
-    # margin the array series would keep a df that t_quantile sends to Newton
+    # numpy's r ** 5 is an ulp off Python's in some of these, so a series
+    # spelled with a power would keep a df in the array that t_quantile sends
+    # to Newton; the product r^2 r^2 r rounds alike in both
     (0.5893859429714858, _ulps_around(737.8813428946974)),
     (0.6153989974937344, _ulps_around(737.5919800648707)),
     (0.8533160401002506, _ulps_around(727.8946466154497)),
@@ -290,3 +291,12 @@ def test_t_quantiles_raise_the_scalar_error(p, dfs):
     with pytest.raises(ValueError) as array:
         t_quantiles(p, np.array(dfs))
     assert str(array.value) == str(scalar.value)
+
+
+@pytest.mark.parametrize("df", [1e-20, 1e-62, 1e-80, 1e-300, 1e-310, 1e-323, 5e-324])
+@pytest.mark.parametrize("p", [0.9, 0.1])
+def test_t_quantile_at_a_tiny_df_raises_the_documented_overflow(p, df):
+    # r^5, t itself, df * tail or df / 2 leave the float range on the way
+    for quantile in (lambda: t_quantile(p, df), lambda: t_quantiles(p, np.array([3.0, df]))):
+        with pytest.raises(OverflowError, match=rf"^t quantile out of float range \(tail {min(p, 1 - p)}, df {df}\)$"):
+            quantile()

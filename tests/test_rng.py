@@ -113,6 +113,18 @@ def test_normal_location_shift_is_exact():
     assert np.array_equal(shifted, base + 5.0)
 
 
+@pytest.mark.parametrize("n", [2.7, 1.0 + 1e-15, math.inf, math.nan])
+def test_normals_take_a_whole_number_count(n):
+    with pytest.raises(ValueError) as exc:
+        Rng(1).normals(n)
+    assert str(exc.value) == f"n must be a whole number, got {n}"
+
+
+def test_normals_of_a_whole_float_count():
+    assert np.array_equal(Rng(1).normals(3.0), Rng(1).normals(3))
+    assert Rng(1).normals(np.int64(0)).shape == (0,)
+
+
 def test_normal_rejects_bad_sd():
     r = Rng(0)
     for sd in (0.0, -1.0):

@@ -6,6 +6,7 @@ import pytest
 
 from mcmc_confidence import (
     Ar1Params,
+    Ar1Source,
     Chain,
     NormalPosteriorParams,
     Rng,
@@ -343,6 +344,55 @@ def test_samplers_reject_a_non_finite_init(run, message, init):
     with pytest.raises(ValueError) as exc:
         run(init)
     assert str(exc.value) == f"{message}, got {init}"
+
+
+@pytest.mark.parametrize("start", [
+    lambda x0: ar1_run(5, Ar1Params(0.5), Rng(1), x0=x0),
+    lambda x0: Ar1Source(Ar1Params(0.5), x0=x0).start(3, Rng(1)),
+], ids=["ar1_run", "Ar1Source"])
+@pytest.mark.parametrize("x0", [math.nan, math.inf, -math.inf])
+def test_ar1_rejects_a_non_finite_start(start, x0):
+    with pytest.raises(ValueError) as exc:
+        start(x0)
+    assert str(exc.value) == f"start value x0 must be finite, got {x0}"
+
+
+CHAIN = ar1_run(3, Ar1Params(0.5), Rng(1))
+
+
+@pytest.mark.parametrize("run, name", [
+    (lambda n: ar1_run(n, Ar1Params(0.5), Rng(1)), "n"),
+    (lambda n: ar1_extend(CHAIN, n, Ar1Params(0.5), Rng(1)), "p"),
+    (lambda n: tda_run(n, Rng(1)), "n"),
+    (lambda n: nv_gibbs_run(n, NormalPosteriorParams(), Rng(1)), "n"),
+], ids=["ar1_run", "ar1_extend", "tda_run", "nv_gibbs_run"])
+@pytest.mark.parametrize("count", [2.5, 1.0 + 1e-15, math.inf, math.nan])
+def test_sampler_counts_must_be_whole_numbers(run, name, count):
+    with pytest.raises(ValueError) as exc:
+        run(count)
+    assert str(exc.value) == f"{name} must be a whole number, got {count}"
+
+
+@pytest.mark.parametrize("run, message", [
+    (lambda n: ar1_run(n, Ar1Params(0.5), Rng(1)), "chain length must be positive"),
+    (lambda n: ar1_extend(CHAIN, n, Ar1Params(0.5), Rng(1)), "extension length must be positive"),
+    (lambda n: tda_run(n, Rng(1)), "chain length must be positive"),
+    (lambda n: nv_gibbs_run(n, NormalPosteriorParams(), Rng(1)), "chain length must be positive"),
+], ids=["ar1_run", "ar1_extend", "tda_run", "nv_gibbs_run"])
+@pytest.mark.parametrize("count", [0, 0.5, -2.5, -math.inf])
+def test_sampler_counts_below_one_keep_their_message(run, message, count):
+    with pytest.raises(ValueError) as exc:
+        run(count)
+    assert str(exc.value) == f"{message}, got {count}"
+
+
+def test_whole_float_counts_draw_as_their_int():
+    assert np.array_equal(ar1_run(4.0, Ar1Params(0.5), Rng(1)).values, ar1_run(4, Ar1Params(0.5), Rng(1)).values)
+    assert np.array_equal(ar1_extend(CHAIN, 2.0, Ar1Params(0.5), Rng(1)).values,
+                          ar1_extend(CHAIN, 2, Ar1Params(0.5), Rng(1)).values)
+    assert np.array_equal(tda_run(3.0, Rng(1)).values, tda_run(3, Rng(1)).values)
+    assert np.array_equal(nv_gibbs_run(np.int64(3), NormalPosteriorParams(), Rng(1)).values,
+                          nv_gibbs_run(3, NormalPosteriorParams(), Rng(1)).values)
 
 
 def test_nv_long_run_mean_mu():
